@@ -4,12 +4,12 @@ Replays the seeded round schedule of
 ``repro.eval.chaos_sharded.run_chaos_sharded`` - wire corruption,
 duplicated and dropped frames, a partition-then-heal window, a real
 worker kill mixed with wire faults, and a drain-during-load round -
-through the hardened router and through a hardening-disabled baseline,
-and asserts the PR's acceptance bar: the hardened run answers >= 99%
-of requests with rankings byte-identical to a never-faulted twin, no
-reply is lost or double-served in any round, and the identical schedule
-demonstrably degrades the baseline. Measured numbers are written to
-``BENCH_chaos_sharded.json`` at the repository root (full runs only).
+through the shard router, and asserts the acceptance bar: the run
+answers >= 99% of requests with rankings byte-identical to a
+never-faulted twin, no reply is lost or double-served in any round, and
+at least one edit falls back to the WAL during the partition. Measured
+numbers are written to ``BENCH_chaos_sharded.json`` at the repository
+root (full runs only).
 """
 
 import json
@@ -34,11 +34,9 @@ def test_chaos_sharded_availability(benchmark, once, smoke):
         benchmark, run_chaos_sharded, num_workers=2, seed=11, **kwargs
     )
     hardened = report["hardened"]
-    baseline = report["baseline"]
     rows = [
-        ["requests per mode (queries + edits)", hardened["requests"]],
-        ["hardened availability", f"{hardened['availability']:.2%}"],
-        ["baseline availability", f"{baseline['availability']:.2%}"],
+        ["requests (queries + edits)", hardened["requests"]],
+        ["availability", f"{hardened['availability']:.2%}"],
         ["identical rankings", "yes" if hardened["identical_output"] else "NO"],
         ["lost replies", hardened["lost_replies"]],
         ["double-served replies", hardened["duplicate_replies"]],
@@ -62,7 +60,7 @@ def test_chaos_sharded_availability(benchmark, once, smoke):
         format_table(
             ["metric", "value"],
             rows,
-            title="Sharded chaos: network faults vs the hardened router",
+            title="Sharded chaos: network faults vs the shard router",
         )
     )
 
@@ -80,14 +78,10 @@ def test_chaos_sharded_availability(benchmark, once, smoke):
         "a faulted round returned rankings different from the twin"
     )
     assert hardened["availability"] >= 0.99, (
-        f"hardened availability {hardened['availability']:.2%} < 99%"
+        f"availability {hardened['availability']:.2%} < 99%"
     )
     assert hardened["applied_via"].get("wal", 0) >= 1, (
         "no edit exercised the WAL fallback during the partition window"
-    )
-    assert baseline["availability"] < hardened["availability"], (
-        "the fault schedule did not degrade the un-hardened baseline; "
-        "the comparison proves nothing - raise the fault counts"
     )
     if not smoke:
         REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")

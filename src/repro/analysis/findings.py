@@ -17,13 +17,13 @@ __all__ = [
 #: Drives the SARIF rule table and keeps ids from drifting silently.
 RULES: dict[str, str] = {
     "LOCK001": "Lock acquired out of hierarchy order",
-    "LOCK002": "Unranked lock acquired while a ranked lock is held",
+    "LOCK002": "Read->write upgrade of an RWLock whose read side is held",
     "LAYER001": "Import from a higher or sideways layer",
-    "LAYER002": "Import from an unknown module outside the layer map",
-    "HYG001": "print() in library code",
-    "HYG002": "Mutable default argument",
-    "HYG003": "TODO/FIXME marker committed",
-    "HYG004": "assert used for runtime validation in library code",
+    "LAYER002": "Module below the service layer imports repro.service",
+    "HYG001": "Bare threading.Lock/RLock outside repro.concurrency",
+    "HYG002": "print() in library code",
+    "HYG003": "Mutable default argument",
+    "HYG004": "Un-gated metric call inside the ranking hot path",
     "HYG005": "Broad exception handler outside sanctioned boundaries",
     "BLOCK001": "May-block call reachable while a ranked lock is held",
     "FAULT001": "Registered fault site is never fired",

@@ -10,7 +10,7 @@ Usage::
     python -m repro fig7 real           # Fig. 7 left (real profile accesses)
     python -m repro fig7 synthetic      # Fig. 7 center+right (synthetic)
     python -m repro chaos               # availability under injected faults
-    python -m repro chaos --sharded     # distributed chaos vs the hardened router
+    python -m repro chaos --sharded     # distributed chaos vs the shard router
     python -m repro persistence         # kill/restart recovery + paging
     python -m repro analyze             # project-native static checks
 
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sharded",
         action="store_true",
         help="run the distributed chaos schedule against the sharded "
-        "tier (network faults + kills + drains vs the hardened router)",
+        "tier (network faults + kills + drains vs the shard router)",
     )
     chaos.add_argument(
         "--workers",
@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--no-baseline",
         action="store_true",
-        help="skip the resilience-disabled comparison run",
+        help="skip the resilience-disabled comparison run "
+        "(single-process chaos only; ignored with --sharded)",
     )
     chaos.add_argument(
         "--json", action="store_true", help="emit the raw report as JSON"
@@ -594,7 +595,6 @@ def _run_chaos_sharded(args: argparse.Namespace) -> str:
         queries_per_round=args.queries_per_round,
         edits_per_round=args.edits_per_round,
         seed=args.seed,
-        with_baseline=not args.no_baseline,
     )
     if args.output:
         from pathlib import Path
@@ -602,18 +602,18 @@ def _run_chaos_sharded(args: argparse.Namespace) -> str:
         Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
     if args.json:
         return json.dumps(report, indent=2)
-    hardened = report["hardened"]
+    run = report["hardened"]
     rows: list[list[object]] = [
-        ["requests (queries + edits)", hardened["requests"]],
-        ["availability", f"{hardened['availability']:.2%}"],
-        ["identical rankings", "yes" if hardened["identical_output"] else "NO"],
-        ["lost replies", hardened["lost_replies"]],
-        ["double-served replies", hardened["duplicate_replies"]],
-        ["dedup-served replies", hardened["dedup_replies"]],
+        ["requests (queries + edits)", run["requests"]],
+        ["availability", f"{run['availability']:.2%}"],
+        ["identical rankings", "yes" if run["identical_output"] else "NO"],
+        ["lost replies", run["lost_replies"]],
+        ["double-served replies", run["duplicate_replies"]],
+        ["dedup-served replies", run["dedup_replies"]],
         [
             "edits via (forward/wal/resync)",
             " / ".join(
-                str(hardened["applied_via"].get(key, 0))
+                str(run["applied_via"].get(key, 0))
                 for key in ("forward", "wal", "resync")
             ),
         ],
@@ -626,16 +626,7 @@ def _run_chaos_sharded(args: argparse.Namespace) -> str:
         "rebalances",
         "drains",
     ):
-        rows.append([key.replace("_", " "), hardened["router"][key]])
-    baseline = report.get("baseline")
-    if baseline is not None:
-        rows += [
-            ["baseline availability", f"{baseline['availability']:.2%}"],
-            [
-                "availability delta",
-                f"{report['availability_delta']:+.2%}",
-            ],
-        ]
+        rows.append([key.replace("_", " "), run["router"][key]])
     workload = report["workload"]
     return format_table(
         ["metric", "value"],

@@ -1,4 +1,4 @@
-"""Distributed chaos driver: seeded network faults vs. the hardened router.
+"""Distributed chaos driver: seeded network faults vs. the shard router.
 
 The single-process chaos harness (:mod:`repro.eval.chaos`) asks whether
 the *service* survives injected faults; this one asks whether the
@@ -18,10 +18,6 @@ every round three audits must hold:
 * **Durability through partitions.** Edits applied while the owner was
   unreachable land in the WAL (``applied_via: "wal"``) and are visible
   once the link heals.
-
-The same schedule then replays against a hardening-disabled router
-(``hardened=False``: every wire failure is treated as a crash, retries
-raise) to show the availability gap the hardening buys.
 
 Round schedule (all fault draws seeded, so runs are reproducible):
 
@@ -191,8 +187,7 @@ def _router_counters(router: ShardRouter) -> dict[str, int]:
     }
 
 
-def _run_mode(
-    hardened: bool,
+def _run_schedule(
     num_users: int,
     num_rows: int,
     num_workers: int,
@@ -202,11 +197,10 @@ def _run_mode(
     seed: int,
     wal_root: str | Path | None,
 ) -> dict[str, object]:
-    """Play the full schedule through one router configuration.
+    """Play the full schedule through one router and audit every round.
 
-    Both modes see byte-identical schedules: the same seeded requests,
-    the same edit records (derived from each mode's own twin, which
-    evolves identically), the same fault plans with the same seeds.
+    Requests, edit records (derived from the never-faulted twin) and
+    fault draws are all seeded, so a rerun replays the same schedule.
     """
     environment = study_environment()
     pool = _state_pool(environment)
@@ -225,8 +219,7 @@ def _run_mode(
             data_seed=seed,
             cache_capacity=cache_capacity,
             worker_threads=1,
-            max_retries=8 if hardened else 1,
-            hardened=hardened,
+            max_retries=8,
             reconnect_attempts=2,
             reconnect_backoff=0.01,
             retry_backoff=0.01,
@@ -270,7 +263,6 @@ def _run_mode(
 
     availability = total_ok / total_requests if total_requests else 1.0
     return {
-        "hardened": hardened,
         "rounds": rounds_report,
         "requests": total_requests,
         "ok": total_ok,
@@ -328,9 +320,9 @@ def _play_round(
             else:
                 replies = list(router.query_many(requests))
         except ShardError as error:
-            # The un-hardened baseline raises out of the batch when its
-            # retries are exhausted (or the whole ring died); every
-            # request without a reply counts against availability.
+            # Only a dead ring (or a rejected edit) raises out of the
+            # round; every request without a reply counts against
+            # availability.
             aborted = str(error)
     elapsed = time.perf_counter() - started
 
@@ -375,21 +367,18 @@ def run_chaos_sharded(
     edits_per_round: int = 4,
     cache_capacity: int | None = 64,
     seed: int = 11,
-    with_baseline: bool = True,
     wal_root: str | Path | None = None,
 ) -> dict[str, object]:
-    """Play the chaos schedule hardened, then (optionally) un-hardened.
+    """Play the chaos schedule through the shard router.
 
-    Returns a JSON-ready report: per-round audits for both modes, the
-    availability of each, and the delta the hardening buys on the
-    identical seeded schedule. The hardened run is expected to hold
+    Returns a JSON-ready report: the workload, and under ``hardened``
+    the per-round audits, availability and router counters of the run
+    (the key name is kept for the layout of
+    ``BENCH_chaos_sharded.json``). The run is expected to hold
     ``availability >= 0.99``, ``identical_output`` and zero
-    lost/double-served replies; the baseline is expected to visibly
-    degrade (that contrast is what ``BENCH_chaos_sharded.json``
-    records).
+    lost/double-served replies.
     """
-    hardened = _run_mode(
-        True,
+    run = _run_schedule(
         num_users,
         num_rows,
         num_workers,
@@ -399,19 +388,6 @@ def run_chaos_sharded(
         seed,
         wal_root,
     )
-    baseline: dict[str, object] | None = None
-    if with_baseline:
-        baseline = _run_mode(
-            False,
-            num_users,
-            num_rows,
-            num_workers,
-            queries_per_round,
-            edits_per_round,
-            cache_capacity,
-            seed,
-            wal_root,
-        )
     return {
         "workload": {
             "num_users": num_users,
@@ -426,11 +402,5 @@ def run_chaos_sharded(
             "seed": seed,
             "top_k": _TOP_K,
         },
-        "hardened": hardened,
-        "baseline": baseline,
-        "availability_delta": (
-            None
-            if baseline is None
-            else hardened["availability"] - baseline["availability"]
-        ),
+        "hardened": run,
     }

@@ -1,6 +1,6 @@
 """Context resolution: distances, Search_CS, baselines, resolver (Sec. 4)."""
 
-from repro.resolution.distances import (
+from repro.context.distances import (
     METRICS,
     hierarchy_state_distance,
     hierarchy_value_distance,

@@ -28,9 +28,9 @@ survivors are resynced from the WAL, and the dead shard's in-flight
 requests are retried - carrying their original request ids, which the
 workers deduplicate - on their new owners.
 
-**Network hardening.** With ``hardened=True`` (the default) the router
-distinguishes a *connection* failure from a *process* death by asking
-the OS whether the worker process is still alive. A dead process takes
+**Network failures.** The router distinguishes a *connection* failure
+from a *process* death by asking the OS whether the worker process is
+still alive. A dead process takes
 the crash path above; a live-but-unreachable worker (partition, reset,
 poisoned stream) instead charges its breaker one failure, has its
 connection re-established with exponential backoff and is retried -
@@ -46,10 +46,19 @@ be forwarded during a partition are already durable (WAL-first), so
 they complete as ``applied_via: "wal"`` and the owner is resynced when
 its connection heals. Every request carries a ``rid`` and every reply
 echoes it, so duplicated or stale frames on a connection are simply
-discarded rather than mis-matched to the wrong request.
+discarded rather than mis-matched to the wrong request. A batch whose
+requests are still undelivered after the last dispatch round gets one
+``ok: False`` error row per request; it never raises.
 :meth:`drain_worker` is the planned-maintenance twin of
 :meth:`kill_worker`: stop routing to the worker, flush the WAL, resync
 the survivors, then shut the process down cleanly.
+
+**Configuration.** Worker settings (dataset size and seed, metric,
+caches, I/O wait, threads, dedup capacity) are :class:`WorkerSpec`
+fields, passed through the router's keyword arguments and validated
+when the router is built. The ring, breaker, spawn, hedge and probe
+tunings are the module constants below; only the retry and reconnect
+budgets are per-router.
 
 **Chaos.** The fault sites of :mod:`repro.faults` integrate at two
 levels: ``worker.spawn``/``worker.kill`` fire in the spawn and
@@ -72,8 +81,10 @@ from __future__ import annotations
 import multiprocessing
 import socket
 import time
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import asdict
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
+from dataclasses import asdict, replace
+from typing import Any
 
 from repro.concurrency.locks import LEVEL_CONN, LEVEL_ROUTER, Mutex
 from repro.context.state import ContextState
@@ -103,13 +114,38 @@ Request = tuple[str, ContextState, int | None]
 #: the reply that echoes the expected rid.
 _MAX_STALE_FRAMES = 8
 
+#: Virtual nodes per worker on the hash ring.
+_REPLICAS = 64
+#: Per-worker circuit breaker: consecutive failures that open it, and
+#: seconds before an open breaker admits a half-open probe.
+_FAILURE_THRESHOLD = 3
+_RECOVERY_TIME = 0.5
+#: Seconds to wait for a worker's ready handshake (and to connect).
+_SPAWN_TIMEOUT = 60.0
+#: A worker whose batch reply takes longer than
+#: ``max(_HEDGE_TIMEOUT, _HEDGE_FACTOR * ewma)`` seconds is abandoned
+#: for the round and its requests are hedged to another worker.
+_HEDGE_TIMEOUT = 2.0
+_HEDGE_FACTOR = 8.0
+#: Per-probe socket timeout for :meth:`ShardRouter.check_health` (a hung
+#: worker costs one timeout, not the whole sweep).
+_HEALTH_TIMEOUT = 1.0
 
-def _settimeout_quietly(conn: FaultyConnection, timeout: float | None) -> None:
-    """Restore a socket timeout; a torn-down socket no longer cares."""
+
+@contextmanager
+def _socket_timeout(
+    conn: FaultyConnection, timeout: float | None
+) -> Iterator[None]:
+    """Apply a socket timeout for one exchange, then restore blocking."""
+    conn.settimeout(timeout)
     try:
-        conn.settimeout(timeout)
-    except OSError:
-        pass
+        yield
+    finally:
+        if timeout is not None:
+            try:
+                conn.settimeout(None)
+            except OSError:
+                pass  # a torn-down socket no longer cares
 
 
 class _WorkerHandle:
@@ -151,43 +187,26 @@ class ShardRouter:
 
     Args:
         num_workers: Worker processes to spawn on :meth:`start`.
-        replicas: Virtual nodes per worker on the hash ring.
         wal_root: Directory for the shared profile store. The router
             opens it writable (single writer); workers cold-start and
             resync from it read-only. ``None`` runs without
             durability - a dead worker's shard state is then lost and
             retried edits are re-forwarded instead of resynced.
-        num_rows / data_seed / metric / cache_capacity /
-            hydrated_budget / resilience / io_wait_ms /
-            worker_threads: Forwarded into every :class:`WorkerSpec`
-            (all workers serve the same deterministic dataset).
-        failure_threshold / recovery_time: Per-worker circuit-breaker
-            tuning.
         max_retries: Re-dispatch rounds for requests stranded by a
-            worker death before :meth:`query_many` gives up.
-        spawn_timeout: Seconds to wait for a worker's ready handshake.
-        hardened: Distinguish connection failures from process deaths,
-            reconnect with backoff, hedge slow/unreachable workers and
-            report undeliverable queries per-request. ``False`` is the
-            pre-hardening baseline: every wire failure is treated as a
-            crash and exhausted retries raise.
+            worker death before :meth:`query_many` reports them failed.
         reconnect_attempts / reconnect_backoff: Connection
             re-establishment tries per failure and the base (doubling)
             delay between them, seconds.
         retry_backoff: Base (doubling) delay between re-dispatch
             rounds, seconds.
-        hedge_timeout / hedge_factor: A worker whose batch reply takes
-            longer than ``max(hedge_timeout, hedge_factor * ewma)`` is
-            abandoned for this round and its requests are hedged to
-            another worker; ``hedge_timeout=None`` disables hedging.
-        health_timeout: Per-probe socket timeout for
-            :meth:`check_health` (a hung worker costs one timeout, not
-            the whole sweep).
-        request_deadline_ms: Attached as ``deadline_ms`` to every
-            forwarded query/edit (workers enforce it through their
-            ``deadline_scope``); an ambient router-side deadline takes
-            precedence when tighter. ``None`` propagates only ambient
-            deadlines.
+        **worker: :class:`WorkerSpec` fields (``num_rows``,
+            ``data_seed``, ``io_wait_ms``, ``worker_threads``...),
+            shared by every worker so all serve the same deterministic
+            dataset. An unknown field raises ``TypeError`` here, before
+            any process spawns.
+
+    An ambient :func:`~repro.resilience.deadline_scope` rides every
+    forwarded query and edit as ``deadline_ms``; workers enforce it.
 
     Example:
         >>> with ShardRouter(4, wal_root=tmp_path) as router:
@@ -198,65 +217,27 @@ class ShardRouter:
     def __init__(
         self,
         num_workers: int,
-        replicas: int = 64,
         wal_root: str | None = None,
-        num_rows: int = 200,
-        data_seed: int = 7,
-        metric: str = "jaccard",
-        cache_capacity: int | None = 128,
-        hydrated_budget: int | None = None,
-        resilience: bool = False,
-        io_wait_ms: float = 0.0,
-        worker_threads: int = 2,
-        failure_threshold: int = 3,
-        recovery_time: float = 0.5,
         max_retries: int = 2,
-        spawn_timeout: float = 60.0,
-        hardened: bool = True,
         reconnect_attempts: int = 3,
         reconnect_backoff: float = 0.05,
         retry_backoff: float = 0.02,
-        hedge_timeout: float | None = 2.0,
-        hedge_factor: float = 8.0,
-        health_timeout: float = 1.0,
-        request_deadline_ms: float | None = None,
-        dedup_capacity: int = 4096,
+        **worker: Any,
     ) -> None:
         if num_workers < 1:
             raise ShardError(f"num_workers must be >= 1, got {num_workers}")
         self._num_workers = num_workers
-        self._replicas = replicas
-        self._wal_root = wal_root
-        self._spec_fields = {
-            "num_rows": num_rows,
-            "data_seed": data_seed,
-            "metric": metric,
-            "cache_capacity": cache_capacity,
-            "hydrated_budget": hydrated_budget,
-            "resilience": resilience,
-            "io_wait_ms": io_wait_ms,
-            "worker_threads": worker_threads,
-            "wal_root": wal_root,
-            "dedup_capacity": dedup_capacity,
-        }
-        self._failure_threshold = failure_threshold
-        self._recovery_time = recovery_time
+        self._spec = WorkerSpec(name="", wal_root=wal_root, **worker)
         self._max_retries = max_retries
-        self._spawn_timeout = spawn_timeout
         self._ctx = multiprocessing.get_context("spawn")
-        self._ring = ConsistentHashRing(replicas=replicas)
+        self._ring = ConsistentHashRing(replicas=_REPLICAS)
         self._workers: dict[str, _WorkerHandle] = {}
         self._store: JsonlProfileStore | None = (
             None if wal_root is None else JsonlProfileStore(wal_root)
         )
-        self._hardened = hardened
         self._reconnect_attempts = max(1, reconnect_attempts)
         self._reconnect_backoff = max(0.0, reconnect_backoff)
         self._retry_backoff = max(0.0, retry_backoff)
-        self._hedge_timeout = hedge_timeout
-        self._hedge_factor = hedge_factor
-        self._health_timeout = health_timeout
-        self._request_deadline_ms = request_deadline_ms
         self._rid_counter = 0
         self.worker_deaths = 0
         self.rebalances = 0
@@ -311,7 +292,7 @@ class ShardRouter:
     def _spawn_locked(self, name: str) -> _WorkerHandle:
         """Spawn one worker, await its handshake, join it to the ring."""
         get_fault_registry().fire("worker.spawn")
-        spec = WorkerSpec(name=name, **self._spec_fields)  # type: ignore[arg-type]
+        spec = replace(self._spec, name=name)
         parent, child = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
@@ -321,7 +302,7 @@ class ShardRouter:
         )
         process.start()
         child.close()
-        if not parent.poll(self._spawn_timeout):
+        if not parent.poll(_SPAWN_TIMEOUT):
             process.terminate()
             raise ShardError(f"worker {name!r} missed its ready handshake")
         handshake = parent.recv()
@@ -332,7 +313,7 @@ class ShardRouter:
                 f"worker {name!r} failed to start: {handshake['error']}"
             )
         sock = socket.create_connection(
-            ("127.0.0.1", handshake["port"]), timeout=self._spawn_timeout
+            ("127.0.0.1", handshake["port"]), timeout=_SPAWN_TIMEOUT
         )
         sock.settimeout(None)
         handle = _WorkerHandle(
@@ -342,8 +323,8 @@ class ShardRouter:
             FaultyConnection(sock),
             CircuitBreaker(
                 f"worker:{name}",
-                failure_threshold=self._failure_threshold,
-                recovery_time=self._recovery_time,
+                failure_threshold=_FAILURE_THRESHOLD,
+                recovery_time=_RECOVERY_TIME,
             ),
             synced_lsn=0 if self._store is None else self._store.last_lsn(),
         )
@@ -384,14 +365,30 @@ class ShardRouter:
     def _deadline_ms(self) -> int | None:
         """The request budget to put on the wire, if any (ms)."""
         deadline = current_deadline()
-        ambient = None if deadline is None else deadline.remaining() * 1000.0
-        configured = self._request_deadline_ms
-        if ambient is None and configured is None:
+        if deadline is None:
             return None
-        budget = min(
-            value for value in (ambient, configured) if value is not None
+        return max(1, int(deadline.remaining() * 1000.0))
+
+    @staticmethod
+    def _read_reply(handle: _WorkerHandle, rid: str) -> dict:
+        """Read frames until one echoes ``rid`` (conn lock held).
+
+        Stale or duplicated frames left on the stream by earlier faults
+        are discarded, never mis-matched to this request.
+        """
+        for _ in range(_MAX_STALE_FRAMES):
+            reply = handle.conn.recv_frame()
+            if reply is None:
+                raise WorkerDied(
+                    f"worker {handle.name!r} closed its connection",
+                    worker=handle.name,
+                )
+            if reply.get("rid") == rid:
+                return reply
+        raise ProtocolError(
+            f"no reply matching rid {rid!r} within "
+            f"{_MAX_STALE_FRAMES} frames (desynchronised stream)"
         )
-        return max(1, int(budget))
 
     def _exchange(
         self,
@@ -401,39 +398,18 @@ class ShardRouter:
     ) -> dict:
         """One request/reply round trip on a worker's connection.
 
-        The request is stamped with a ``rid`` and replies are read
-        until one echoes it, so stale or duplicated frames left on the
-        stream by earlier faults are discarded, never mis-matched.
-
         Raises:
-            WorkerDied: On any socket or protocol failure (the
-                connection is poisoned; the caller classifies whether
-                the worker itself died).
+            WorkerDied: On any socket or protocol failure, timeouts
+                included (the connection is poisoned; the caller
+                classifies whether the worker itself died).
         """
         payload = dict(payload)
         payload.setdefault("rid", self._next_rid())
-        rid = payload["rid"]
         with handle.conn_lock:
             try:
-                try:
-                    handle.conn.settimeout(timeout)
+                with _socket_timeout(handle.conn, timeout):
                     handle.conn.send_frame(payload)
-                    for _ in range(_MAX_STALE_FRAMES):
-                        reply = handle.conn.recv_frame()
-                        if reply is None:
-                            raise WorkerDied(
-                                f"worker {handle.name!r} closed its connection",
-                                worker=handle.name,
-                            )
-                        if reply.get("rid") == rid:
-                            return reply
-                    raise ProtocolError(
-                        f"no reply matching rid {rid!r} within "
-                        f"{_MAX_STALE_FRAMES} frames (desynchronised stream)"
-                    )
-                finally:
-                    if timeout is not None:
-                        _settimeout_quietly(handle.conn, None)
+                    return self._read_reply(handle, payload["rid"])
             except (ProtocolError, OSError) as error:
                 raise WorkerDied(
                     f"worker {handle.name!r} failed mid-exchange: {error}",
@@ -468,24 +444,8 @@ class ShardRouter:
         """
         with handle.conn_lock:
             try:
-                try:
-                    handle.conn.settimeout(timeout)
-                    for _ in range(_MAX_STALE_FRAMES):
-                        reply = handle.conn.recv_frame()
-                        if reply is None:
-                            raise WorkerDied(
-                                f"worker {handle.name!r} closed its connection",
-                                worker=handle.name,
-                            )
-                        if reply.get("rid") == rid:
-                            return reply
-                    raise ProtocolError(
-                        f"no reply matching rid {rid!r} within "
-                        f"{_MAX_STALE_FRAMES} frames (desynchronised stream)"
-                    )
-                finally:
-                    if timeout is not None:
-                        _settimeout_quietly(handle.conn, None)
+                with _socket_timeout(handle.conn, timeout):
+                    return self._read_reply(handle, rid)
             except TimeoutError:
                 raise
             except (ProtocolError, OSError) as error:
@@ -506,15 +466,12 @@ class ShardRouter:
             ) from fault
 
     # ------------------------------------------------------------------
-    # Connection failure handling (hardened path)
+    # Connection failure handling
     # ------------------------------------------------------------------
-    def _failure_is_connection(self, handle: _WorkerHandle) -> bool:
-        """True when a wire failure left the worker *process* alive.
-
-        The pre-hardening baseline never asks: every failure is a
-        crash-equivalent there.
-        """
-        return self._hardened and handle.alive and handle.process.is_alive()
+    @staticmethod
+    def _failure_is_connection(handle: _WorkerHandle) -> bool:
+        """True when a wire failure left the worker *process* alive."""
+        return handle.alive and handle.process.is_alive()
 
     def _reconnect_locked(self, handle: _WorkerHandle) -> bool:
         """Re-establish a worker's connection with exponential backoff.
@@ -531,7 +488,7 @@ class ShardRouter:
                 time.sleep(self._reconnect_backoff * (2 ** (attempt - 1)))
             try:
                 conn = faulty_connect(
-                    ("127.0.0.1", handle.port), timeout=self._spawn_timeout
+                    ("127.0.0.1", handle.port), timeout=_SPAWN_TIMEOUT
                 )
             except OSError:
                 continue
@@ -590,7 +547,7 @@ class ShardRouter:
             return True
         return self._resync_one_locked(handle)
 
-    def _exchange_hardened(self, handle: _WorkerHandle, payload: Mapping) -> dict:
+    def _exchange_repaired(self, handle: _WorkerHandle, payload: Mapping) -> dict:
         """:meth:`_exchange` plus reconnect-and-retry on link failures.
 
         Raises:
@@ -682,10 +639,7 @@ class ShardRouter:
                 for name in self._ring.nodes:
                     handle = self._workers[name]
                     try:
-                        if self._hardened:
-                            self._exchange_hardened(handle, {"op": "resync"})
-                        else:
-                            self._exchange(handle, {"op": "resync"})
+                        self._exchange_repaired(handle, {"op": "resync"})
                     except WorkerUnreachable:
                         # Alive behind a partition: keep it on the ring
                         # but flag it stale, so the reconnect that heals
@@ -791,7 +745,7 @@ class ShardRouter:
         """Ping every worker through its breaker's admission gate.
 
         Each probe runs under a bounded socket timeout
-        (``health_timeout``), so one hung-but-alive worker costs a
+        (``_HEALTH_TIMEOUT``), so one hung-but-alive worker costs a
         single timeout instead of stalling the whole sweep; its probe
         is charged to the breaker as a connection failure and the link
         is re-established, but the worker is *not* declared dead. A
@@ -819,7 +773,7 @@ class ShardRouter:
                     try:
                         reply = self._exchange(
                             handle, {"op": "ping"},
-                            timeout=self._health_timeout,
+                            timeout=_HEALTH_TIMEOUT,
                         )
                     except WorkerDied:
                         if self._failure_is_connection(handle):
@@ -881,16 +835,13 @@ class ShardRouter:
             if deadline_ms is not None:
                 payload["deadline_ms"] = deadline_ms
             for attempt in range(self._max_retries + 1):
-                if attempt and self._hardened and self._retry_backoff:
+                if attempt and self._retry_backoff:
                     time.sleep(self._retry_backoff * (2 ** (attempt - 1)))
                 owner = self._ring.node_for(record["user"])
                 handle = self._workers[owner]
                 try:
                     self._maybe_chaos_kill(handle)
-                    if self._hardened:
-                        reply = self._exchange_hardened(handle, payload)
-                    else:
-                        reply = self._exchange(handle, payload)
+                    reply = self._exchange_repaired(handle, payload)
                 except WorkerUnreachable:
                     # The owner is alive behind a partition. The record
                     # is already durable (WAL-first); flag the owner so
@@ -959,31 +910,24 @@ class ShardRouter:
                 if round_index:
                     self.retried_requests += len(pending)
                     registry.inc("router.retries", value=len(pending))
-                    if self._hardened and self._retry_backoff:
+                    if self._retry_backoff:
                         time.sleep(
                             self._retry_backoff * (2 ** (round_index - 1))
                         )
                 self._dispatch_round_locked(pending, results, registry)
-            if pending:
-                if not self._hardened:
-                    raise ShardError(
-                        f"{len(pending)} requests undeliverable after "
+            # Degrade per request instead of failing the batch: callers
+            # get a typed failure row and the availability accounting
+            # stays per-request.
+            for rid in pending:
+                results[rid] = {
+                    "rid": rid,
+                    "ok": False,
+                    "duplicate": False,
+                    "error": (
+                        "undeliverable after "
                         f"{self._max_retries + 1} dispatch rounds"
-                    )
-                # Hardened routers degrade per-request instead of
-                # failing the batch: callers get a typed failure row
-                # and the availability accounting stays per-request.
-                for rid in list(pending):
-                    results[rid] = {
-                        "rid": rid,
-                        "ok": False,
-                        "duplicate": False,
-                        "error": (
-                            "undeliverable after "
-                            f"{self._max_retries + 1} dispatch rounds"
-                        ),
-                    }
-                    del pending[rid]
+                    ),
+                }
         registry.observe(
             "router.batch.seconds", time.perf_counter() - started
         )
@@ -992,14 +936,12 @@ class ShardRouter:
     def _route_target_locked(self, user_id: str) -> str:
         """The worker a request should go to *this round*.
 
-        The ring owner, unless hardening knows it is unusable right now
+        The ring owner, unless it is known to be unusable right now
         (dead handle awaiting rebalance, or a breaker that does not
         admit traffic); then the first usable worker in ring order
         serves as the hedge target.
         """
         owner = self._ring.node_for(user_id)
-        if not self._hardened:
-            return owner
         handle = self._workers[owner]
         if handle.alive and handle.breaker.allow():
             return owner
@@ -1011,15 +953,12 @@ class ShardRouter:
                 return name
         return owner
 
-    def _hedge_deadline(self, handle: _WorkerHandle) -> float | None:
+    @staticmethod
+    def _hedge_deadline(handle: _WorkerHandle) -> float:
         """Adaptive per-worker reply deadline for one batch, seconds."""
-        if not self._hardened or self._hedge_timeout is None:
-            return None
         if handle.ewma_ms is None:
-            return self._hedge_timeout
-        return max(
-            self._hedge_timeout, self._hedge_factor * handle.ewma_ms / 1000.0
-        )
+            return _HEDGE_TIMEOUT
+        return max(_HEDGE_TIMEOUT, _HEDGE_FACTOR * handle.ewma_ms / 1000.0)
 
     def _dispatch_round_locked(
         self,
@@ -1029,8 +968,7 @@ class ShardRouter:
     ) -> None:
         """One send-all / receive-all round over the current ring.
 
-        Hardened extras: requests for an unusable owner are hedged to
-        another worker (resynced from the WAL first when stale), a
+        Requests for an unusable owner are hedged to another worker (resynced from the WAL first when stale), a
         worker that misses its adaptive reply deadline is abandoned for
         the round (its connection is reset so no stale reply can
         desynchronise later rounds), and connection failures repair the
@@ -1060,10 +998,8 @@ class ShardRouter:
             hedged_into = any(
                 self._ring.node_for(entry[1]) != target for entry in batch
             )
-            if (
-                self._hardened
-                and (hedged_into or handle.stale)
-                and not self._ensure_synced_locked(handle)
+            if (hedged_into or handle.stale) and not self._ensure_synced_locked(
+                handle
             ):
                 if self._failure_is_connection(handle):
                     # Repair the link now (reconnect + resync ride the

@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.analysis import analyze, analyze_modules, load_module
+from repro.analysis.findings import RULES
 from repro.cli import main
 from repro.exceptions import ReproError
 
@@ -79,6 +80,20 @@ class TestReport:
 
     def test_clean_text_report(self):
         assert analyze(SRC_ROOT).render() == "analyze: 0 findings"
+
+    @pytest.mark.parametrize(
+        "rule, keyword",
+        [
+            ("LOCK002", "upgrade"),
+            ("LAYER002", "service"),
+            ("HYG001", "threading"),
+            ("HYG002", "print"),
+            ("HYG003", "mutable default"),
+            ("HYG004", "metric"),
+        ],
+    )
+    def test_rule_table_describes_what_the_checker_flags(self, rule, keyword):
+        assert keyword in RULES[rule].lower()
 
 
 class TestBaseline:

@@ -44,7 +44,6 @@ class TestReport:
             queries_per_round=4,
             edits_per_round=1,
             seed=11,
-            with_baseline=False,
         )
 
     def test_report_is_json_ready(self, report):
@@ -69,6 +68,5 @@ class TestReport:
             assert row["identical"] is True
             assert "router" in row
 
-    def test_baseline_is_opt_out(self, report):
-        assert report["baseline"] is None
-        assert report["availability_delta"] is None
+    def test_report_has_no_baseline_run(self, report):
+        assert set(report) == {"workload", "hardened"}

@@ -2,7 +2,7 @@
 
 Every scenario here injects transport faults (corruption, partitions,
 resets) against live worker processes and asserts the two invariants
-the hardened router promises: a connection failure never declares the
+the router promises: a connection failure never declares the
 worker dead (no ring change, no data movement - the link is repaired
 and the request retried), and whatever path a request takes, its
 ranking is byte-identical to the never-faulted twin.
@@ -63,6 +63,25 @@ class TestConnectionFailureClassification:
             assert stats["conn_failures"] >= 1
             assert stats["reconnects"] >= 1
             assert len(router.workers) == 2
+        finally:
+            router.close()
+
+    def test_exhausted_retries_yield_per_request_error_rows(
+        self, tmp_path, states
+    ):
+        router = start_router(tmp_path, max_retries=0)
+        try:
+            requests = full_batch(states)
+            with fault_plan(
+                [FaultSpec(site="conn.send", kind="corrupt", max_fires=2)],
+                seed=SEED,
+            ):
+                replies = router.query_many(requests)
+            assert len(replies) == len(requests)
+            failed = [reply for reply in replies if not reply["ok"]]
+            assert failed
+            assert all("undeliverable" in reply["error"] for reply in failed)
+            assert router.stats()["worker_deaths"] == 0
         finally:
             router.close()
 
@@ -207,17 +226,6 @@ class TestDrain:
 
 
 class TestDeadlinePropagation:
-    def test_exhausted_budget_times_out_worker_side(self, tmp_path, states):
-        router = start_router(
-            tmp_path, request_deadline_ms=1.0, io_wait_ms=30.0
-        )
-        try:
-            [reply] = router.query_many([(USERS[0], states[0], TOP_K)])
-            assert not reply["ok"]
-            assert reply.get("timed_out") is True
-        finally:
-            router.close()
-
     def test_ambient_deadline_rides_the_wire(self, tmp_path, states):
         router = start_router(tmp_path, io_wait_ms=30.0)
         try:
@@ -229,9 +237,10 @@ class TestDeadlinePropagation:
             router.close()
 
     def test_roomy_budget_serves_normally(self, tmp_path, twin, states):
-        router = start_router(tmp_path, request_deadline_ms=30_000.0)
+        router = start_router(tmp_path)
         try:
-            [reply] = router.query_many([(USERS[0], states[0], TOP_K)])
+            with deadline_scope(Deadline.after(30.0)):
+                [reply] = router.query_many([(USERS[0], states[0], TOP_K)])
             assert reply["ok"]
             assert reply["ranking"] == ranking_pairs(
                 twin.query_at(USERS[0], states[0], top_k=TOP_K)
@@ -242,7 +251,7 @@ class TestDeadlinePropagation:
 
 class TestHealthProbes:
     def test_probe_latency_is_measured_and_surfaced(self, tmp_path):
-        router = start_router(tmp_path, health_timeout=2.0)
+        router = start_router(tmp_path)
         try:
             report = router.check_health()
             for row in report.values():
@@ -263,19 +272,3 @@ class TestHealthProbes:
         finally:
             router.close()
 
-
-class TestBaselineContrast:
-    def test_unhardened_router_treats_wire_faults_as_crashes(
-        self, tmp_path, states
-    ):
-        router = start_router(tmp_path, hardened=False, max_retries=0)
-        try:
-            requests = full_batch(states)
-            with fault_plan(
-                [FaultSpec(site="conn.send", kind="corrupt", max_fires=2)],
-                seed=SEED,
-            ):
-                with pytest.raises(ShardError):
-                    router.query_many(requests)
-        finally:
-            router.close()

@@ -49,7 +49,7 @@ class TestWorkerDeath:
         stats = router.stats()
         assert stats["worker_deaths"] == 1
         assert stats["rebalances"] == 1
-        # The hardened router declares the known death *before* the
+        # The router declares the known death *before* the
         # first dispatch round, so the whole batch is served in one
         # round and no retry is burned on discovering the crash.
         assert stats["retried_requests"] == 0

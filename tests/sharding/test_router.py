@@ -14,6 +14,10 @@ class TestLifecycle:
         with pytest.raises(ShardError, match="num_workers"):
             ShardRouter(0)
 
+    def test_unknown_worker_field_fails_before_spawning(self):
+        with pytest.raises(TypeError, match="bogus"):
+            ShardRouter(1, bogus=1)
+
     def test_double_start_rejected(self, router):
         with pytest.raises(ShardError, match="already started"):
             router.start()
