@@ -6,8 +6,8 @@ account > relation > cache > metrics), the package layering DAG
 (context/hierarchy below preferences below tree below db below query
 below service), and hot-path hygiene rules (no bare ``threading``
 locks outside :mod:`repro.concurrency`, no ``print`` in library code,
-no mutable default arguments, no un-gated metrics work inside the
-``search_cs``/``rank_rows`` hot paths). One refactor can silently
+no un-gated metrics work inside the ``search_cs``/``rank_rows`` hot
+paths). One refactor can silently
 break any of them - and a broken lock order is a deadlock waiting for
 production traffic, while a stale-cache write corrupts the Def. 10-12
 context-resolution results the paper's Theorem 1 depends on.

@@ -22,7 +22,6 @@ RULES: dict[str, str] = {
     "LAYER002": "Module below the service layer imports repro.service",
     "HYG001": "Bare threading.Lock/RLock outside repro.concurrency",
     "HYG002": "print() in library code",
-    "HYG003": "Mutable default argument",
     "HYG004": "Un-gated metric call inside the ranking hot path",
     "HYG005": "Broad exception handler outside sanctioned boundaries",
     "BLOCK001": "May-block call reachable while a ranked lock is held",

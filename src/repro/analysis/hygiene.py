@@ -8,8 +8,6 @@
 * ``HYG002`` - ``print`` in library code. The CLI surface
   (``repro.cli``, ``repro.__main__``) is the only place stdout belongs;
   everything else reports through return values or :mod:`repro.obs`.
-* ``HYG003`` - mutable default arguments (a shared list/dict/set
-  default aliases state across calls; the classic Python trap).
 * ``HYG004`` - un-gated metrics work inside the ranking hot path.
   Inside ``search_cs``/``rank_rows``/``rank_cs_batch``, every
   ``.inc(...)``/``.observe(...)``/``.set_gauge(...)`` call must sit
@@ -62,9 +60,6 @@ HOT_FUNCTIONS = {"search_cs", "rank_rows", "rank_cs_batch"}
 #: Metric-recording method names that must be gated on the hot path.
 _METRIC_METHODS = {"inc", "observe", "set_gauge"}
 
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-_MUTABLE_CALLS = {"list", "dict", "set", "defaultdict", "OrderedDict", "deque"}
-
 
 def _is_bare_lock_call(node: ast.Call) -> bool:
     func = node.func
@@ -75,17 +70,6 @@ def _is_bare_lock_call(node: ast.Call) -> bool:
         # enough in this codebase that a bare call is the real thing.
         return True
     return False
-
-
-def _is_mutable_default(node: ast.expr) -> bool:
-    if isinstance(node, _MUTABLE_LITERALS):
-        # An empty tuple or frozenset is fine; these literals are not.
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in _MUTABLE_CALLS
-    )
 
 
 def _in_broad_except_boundary(module_name: str) -> bool:
@@ -242,28 +226,6 @@ def check_hygiene(modules: list[SourceModule]) -> list[Finding]:
                         )
                     )
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defaults = list(node.args.defaults) + [
-                    default
-                    for default in node.args.kw_defaults
-                    if default is not None
-                ]
-                for default in defaults:
-                    if _is_mutable_default(default):
-                        findings.append(
-                            Finding(
-                                rule="HYG003",
-                                category="hygiene",
-                                module=module.name,
-                                path=str(module.path),
-                                line=default.lineno,
-                                message=(
-                                    f"mutable default argument in "
-                                    f"{node.name}(): defaults are evaluated "
-                                    "once and shared across calls"
-                                ),
-                                function=node.name,
-                            )
-                        )
                 if node.name in HOT_FUNCTIONS:
                     calls: list[tuple[ast.Call, bool]] = []
                     _gated_metric_calls(node.body, False, calls)

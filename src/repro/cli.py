@@ -21,7 +21,9 @@ re-run the sweep at other scales than the paper's.
 from __future__ import annotations
 
 import argparse
+import json
 from collections.abc import Sequence
+from pathlib import Path
 
 from repro.eval import (
     fig5_real_profile,
@@ -352,8 +354,6 @@ def _run_report(args: argparse.Namespace) -> str:
 
     text = generate_report(quick=args.quick, seed=args.seed)
     if args.output:
-        from pathlib import Path
-
         Path(args.output).write_text(text, encoding="utf-8")
         return f"report written to {args.output}"
     return text
@@ -370,8 +370,6 @@ def _run_stats(args: argparse.Namespace) -> str:
         seed=args.seed,
     )
     if args.format == "json":
-        import json
-
         return json.dumps(
             {"workload": report["workload"], "snapshot": report["snapshot"]}, indent=2
         )
@@ -408,6 +406,16 @@ def _run_stats(args: argparse.Namespace) -> str:
     )
 
 
+def _json_report(args: argparse.Namespace, report: dict) -> str | None:
+    """Write ``report`` to ``--output`` when the command has one and it
+    is set; return the JSON text under ``--json``, else ``None`` (the
+    caller renders its table)."""
+    text = json.dumps(report, indent=2)
+    if getattr(args, "output", None):
+        Path(args.output).write_text(text + "\n")
+    return text if args.json else None
+
+
 def _run_serve_bench(args: argparse.Namespace) -> str:
     from repro.eval.serving import run_serve_bench
 
@@ -422,10 +430,8 @@ def _run_serve_bench(args: argparse.Namespace) -> str:
         cache_capacity=args.cache_capacity,
         seed=args.seed,
     )
-    if args.json:
-        import json
-
-        return json.dumps(report, indent=2)
+    if (text := _json_report(args, report)) is not None:
+        return text
     rows: list[list[object]] = [
         [
             f"{count} thread{'s' if int(count) != 1 else ''}",
@@ -471,15 +477,8 @@ def _run_shard_bench(args: argparse.Namespace) -> str:
         seed=args.seed,
         chaos=not args.no_chaos,
     )
-    if args.output:
-        import json
-        from pathlib import Path
-
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    if args.json:
-        import json
-
-        return json.dumps(report, indent=2)
+    if (text := _json_report(args, report)) is not None:
+        return text
     rows: list[list[object]] = [
         [
             f"{count} worker{'s' if int(count) != 1 else ''}",
@@ -516,8 +515,6 @@ def _run_shard_bench(args: argparse.Namespace) -> str:
 
 
 def _run_chaos(args: argparse.Namespace) -> str:
-    import json
-
     from repro.eval.chaos import run_chaos
 
     if args.sharded:
@@ -533,12 +530,8 @@ def _run_chaos(args: argparse.Namespace) -> str:
         seed=args.seed,
         with_baseline=not args.no_baseline,
     )
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    if args.json:
-        return json.dumps(report, indent=2)
+    if (text := _json_report(args, report)) is not None:
+        return text
     resilient = report["resilient"]
     rows: list[list[object]] = [
         ["requests", resilient["requests"]],
@@ -584,8 +577,6 @@ def _run_chaos(args: argparse.Namespace) -> str:
 
 
 def _run_chaos_sharded(args: argparse.Namespace) -> str:
-    import json
-
     from repro.eval.chaos_sharded import run_chaos_sharded
 
     report = run_chaos_sharded(
@@ -596,12 +587,8 @@ def _run_chaos_sharded(args: argparse.Namespace) -> str:
         edits_per_round=args.edits_per_round,
         seed=args.seed,
     )
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    if args.json:
-        return json.dumps(report, indent=2)
+    if (text := _json_report(args, report)) is not None:
+        return text
     run = report["hardened"]
     rows: list[list[object]] = [
         ["requests (queries + edits)", run["requests"]],
@@ -639,8 +626,6 @@ def _run_chaos_sharded(args: argparse.Namespace) -> str:
 
 
 def _run_persistence(args: argparse.Namespace) -> str:
-    import json
-
     from repro.eval.persistence import run_kill_restart, run_paging_bench
 
     report: dict[str, object] = {
@@ -663,12 +648,8 @@ def _run_persistence(args: argparse.Namespace) -> str:
             backend=args.backend,
             seed=args.seed,
         )
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    if args.json:
-        return json.dumps(report, indent=2)
+    if (text := _json_report(args, report)) is not None:
+        return text
     kill = report["kill_restart"]
     rows: list[list[object]] = [
         ["restarts", kill["restarts"]],
@@ -730,8 +711,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "analyze":
         # The one command with a meaningful failure exit code: CI runs
         # it as a gate, so findings must fail the process.
-        from pathlib import Path
-
         from repro.analysis import analyze, load_baseline
 
         baseline = load_baseline(Path(args.baseline)) if args.baseline else None

@@ -14,25 +14,35 @@ Two experiment drivers back the ``repro chaos`` CLI subcommand and
   degrade down the ladder) and once without (requests fail) - so the
   report shows both what the resilience layer *delivers* (availability
   per degradation level, latency percentiles) and what the same faults
-  *cost* without it. Completed requests are verified after every round:
-  ``full``/``cache_bypass``/``scan`` answers must match a fault-free
-  recomputation exactly, ``generalized`` answers must match the
-  fault-free answer at the generalized state, ``unranked`` answers must
-  be all-zero-scored.
+  *cost* without it. Completed requests are audited after every round
+  against :func:`repro.eval.oracle.reference_service`, which receives
+  the round's landed edits once the faults are cleared (the service
+  under test is never re-queried): ``full``/``cache_bypass``/``scan``
+  answers must equal the reference exactly, ``generalized`` answers
+  must equal the reference at the generalized state, ``unranked``
+  answers must hold the same rows with every score zero.
 * :func:`run_chaos_overhead` - the cost of the machinery when *unused*:
   the same serving workload with no fault plan installed, timed with
   resilience policies absent vs. configured as **paired rounds**
   (median of paired ratios, the ``BENCH_obs.json`` technique), bounding
-  the healthy-path cost of the ladder + hooks.
+  the healthy-path cost of the ladder + hooks. The two modes' rankings
+  must agree exactly (:func:`repro.eval.oracle.mismatches`).
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
-from repro.context.state import ContextState
 from repro.db.poi import generate_poi_relation
+from repro.eval.oracle import (
+    mismatches,
+    population,
+    ranking,
+    reference_service,
+    state_pool,
+)
 from repro.exceptions import (
     ReproError,
     RequestTimeout,
@@ -40,11 +50,12 @@ from repro.exceptions import (
 )
 from repro.faults.registry import FaultSpec, fault_plan
 from repro.obs.metrics import get_registry
+from repro.preferences.preference import ContextualPreference
 from repro.query.contextual_query import ContextualQuery
 from repro.query.resilient import generalize_state
 from repro.resilience import ResiliencePolicies
 from repro.service.personalization import PersonalizationService
-from repro.workloads.users import all_personas, study_environment
+from repro.workloads.users import study_environment
 
 __all__ = ["chaos_schedule", "run_chaos", "run_chaos_overhead"]
 
@@ -62,14 +73,6 @@ _SCHEDULE_SITES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("executor.request", ("latency",)),
     ("service.edit", ("error",)),
 )
-
-_POOL_PEOPLE = ("friends", "family", "alone")
-_POOL_TEMPERATURES = ("warm", "cold")
-_POOL_LOCATIONS = ("Plaka", "Kifisia")
-
-#: Degradation levels whose rankings must equal the fault-free full
-#: path (they change evaluation strategy, not semantics).
-_EXACT_LEVELS = ("full", "cache_bypass", "scan")
 
 
 def chaos_schedule(seed: int = 23, rounds: int = 5) -> list[list[FaultSpec]]:
@@ -103,31 +106,6 @@ def chaos_schedule(seed: int = 23, rounds: int = 5) -> list[list[FaultSpec]]:
     return schedule
 
 
-def _chaos_states(environment) -> list[ContextState]:
-    """The stress-test's 12-state query pool."""
-    return [
-        ContextState.from_mapping(
-            environment,
-            {
-                "accompanying_people": people,
-                "temperature": temperature,
-                "location": location,
-            },
-        )
-        for people in _POOL_PEOPLE
-        for temperature in _POOL_TEMPERATURES
-        for location in _POOL_LOCATIONS
-    ]
-
-
-def _signature(result) -> tuple:
-    """Order-sensitive ranking fingerprint, stable across row objects."""
-    return tuple(
-        (item.row.get("pid", id(item.row)), round(item.score, 12))
-        for item in result.results
-    )
-
-
 def _percentile(values: list[float], q: float) -> float:
     if not values:
         return 0.0
@@ -150,11 +128,10 @@ def _build_service(
         cache_capacity=32,
         resilience=ResiliencePolicies() if resilient else None,
     )
-    personas = all_personas()
-    user_ids = [f"user{index}" for index in range(num_users)]
-    for index, user_id in enumerate(user_ids):
-        service.register(user_id, personas[index % len(personas)])
-    return service, user_ids
+    users = population(num_users)
+    for user_id, persona in users:
+        service.register(user_id, persona)
+    return service, [user_id for user_id, _ in users]
 
 
 def _merge_fired(total: dict[str, dict[str, int]], fired: dict) -> None:
@@ -193,9 +170,10 @@ def _run_mode(
     workloads and identical per-site fault sequences.
     """
     service, user_ids = _build_service(num_users, num_rows, seed, resilient)
+    reference = reference_service(num_users, num_rows, seed)
     pool = [
         ContextualQuery.at_state(state, top_k=10)
-        for state in _chaos_states(service.environment)
+        for state in state_pool(service.environment)
     ]
     rng = random.Random(f"chaos-requests:{seed}")
     schedule = chaos_schedule(seed=seed, rounds=rounds)
@@ -209,10 +187,11 @@ def _run_mode(
     latencies: list[float] = []
     fired_total: dict[str, dict[str, int]] = {}
     checked = 0
-    mismatches = 0
+    mismatched = 0
 
     for round_index, specs in enumerate(schedule):
-        verifiable: list[tuple[str, ContextualQuery, str, tuple]] = []
+        landed: list[tuple[str, ContextualPreference, float]] = []
+        verifiable: list[tuple[str, ContextualQuery, str, list]] = []
         with fault_plan(specs, seed=seed * 1000 + round_index) as faults:
             # Profile churn first: edits either land atomically or are
             # rejected fail-fast by an injected ``service.edit`` fault.
@@ -229,6 +208,7 @@ def _run_mode(
                 try:
                     service.update_preference(user_id, preference, new_score)
                     edits_applied += 1
+                    landed.append((user_id, preference, new_score))
                 except ReproError:
                     edit_failures += 1
 
@@ -248,7 +228,7 @@ def _run_mode(
                     level = result.degradation
                     served[level] = served.get(level, 0) + 1
                     verifiable.append(
-                        (user_id, query, level, _signature(result))
+                        (user_id, query, level, ranking(result.results))
                     )
 
             # Concurrent phase: the same faults under a thread pool
@@ -270,25 +250,28 @@ def _run_mode(
                     failures["fault"] += 1
             _merge_fired(fired_total, faults.counts())
 
-        # Faults are now cleared: every completed sequential request is
-        # checked against a fault-free recomputation (the profile has
-        # not changed since the round's edits ran).
-        for user_id, query, level, signature in verifiable:
-            checked += 1
+        # Faults are cleared, so the reference can take the round's
+        # landed edits (inside the plan a ``service.edit`` fault would
+        # fire on it too) and audit every completed sequential answer.
+        for user_id, preference, new_score in landed:
+            reference.update_preference(user_id, preference, new_score)
+        expected = []
+        for user_id, query, level, answer in verifiable:
             if level == "unranked":
-                if any(score != 0.0 for _, score in signature):
-                    mismatches += 1
+                # The same rows, every score dropped to zero.
+                expected.append([(pid, 0.0) for pid, _ in answer])
                 continue
+            state = query.current_state
             if level == "generalized":
-                expected_query = ContextualQuery.at_state(
-                    generalize_state(query.current_state), top_k=query.top_k
-                )
-            else:
-                expected_query = query
-            expected = _signature(service.query(user_id, expected_query))
-            if level in _EXACT_LEVELS or level == "generalized":
-                if signature != expected:
-                    mismatches += 1
+                state = generalize_state(state)
+            expected.append(
+                ranking(reference.query_at(user_id, state, query.top_k).results)
+            )
+        checked += len(verifiable)
+        mismatched += mismatches(
+            expected, [answer for _, _, _, answer in verifiable]
+        )
+    reference.close()
 
     return {
         "requests": total,
@@ -304,7 +287,7 @@ def _run_mode(
             "max": max(latencies, default=0.0) * 1000.0,
         },
         "faults_fired": dict(sorted(fired_total.items())),
-        "correctness": {"checked": checked, "mismatches": mismatches},
+        "correctness": {"checked": checked, "mismatches": mismatched},
     }
 
 
@@ -422,14 +405,14 @@ def run_chaos_overhead(
     of ``repeats`` rounds times both modes back to back and contributes
     one ratio; the reported overhead is the **median of paired
     ratios**, which cancels machine-phase noise the way the
-    ``BENCH_obs.json`` methodology does. Rankings are asserted
-    identical across modes. Caching is disabled so every query pays
-    full resolution + ranking - the worst case for relative overhead.
+    ``BENCH_obs.json`` methodology does. The two modes' rankings must
+    agree exactly (``identical_output``). Caching is disabled so every
+    query pays full resolution + ranking - the worst case for relative
+    overhead.
     """
     environment = study_environment()
     relation = generate_poi_relation(num_rows, seed=seed)
-    personas = all_personas()
-    user_ids = [f"user{index}" for index in range(num_users)]
+    users = population(num_users)
     services = {}
     for mode, policies in (
         ("plain", None),
@@ -438,22 +421,22 @@ def run_chaos_overhead(
         service = PersonalizationService(
             environment, relation, cache_capacity=None, resilience=policies
         )
-        for index, user_id in enumerate(user_ids):
-            service.register(user_id, personas[index % len(personas)])
+        for user_id, persona in users:
+            service.register(user_id, persona)
         services[mode] = service
 
     pool = [
         ContextualQuery.at_state(state, top_k=10)
-        for state in _chaos_states(environment)
+        for state in state_pool(environment)
     ]
     requests = [
-        (user_ids[index % len(user_ids)], pool[index % len(pool)])
+        (users[index % len(users)][0], pool[index % len(pool)])
         for index in range(num_queries)
     ]
 
-    def run_once(service: PersonalizationService) -> list[tuple]:
+    def run_once(service: PersonalizationService) -> list[list]:
         return [
-            _signature(service.query(user_id, query))
+            ranking(service.query(user_id, query).results)
             for user_id, query in requests
         ]
 
@@ -462,7 +445,7 @@ def run_chaos_overhead(
         run_once(service)
 
     times: dict[str, list[float]] = {"plain": [], "resilient": []}
-    outputs: dict[str, list[tuple] | None] = {"plain": None, "resilient": None}
+    outputs: dict[str, list[list]] = {"plain": [], "resilient": []}
     for _ in range(repeats):
         for mode, service in services.items():
             start = time.perf_counter()
@@ -474,14 +457,7 @@ def run_chaos_overhead(
         for plain_time, resilient_time in zip(times["plain"], times["resilient"])
         if plain_time > 0
     ]
-    ratios.sort()
-    middle = len(ratios) // 2
-    if not ratios:
-        overhead_ratio = float("inf")
-    elif len(ratios) % 2:
-        overhead_ratio = ratios[middle]
-    else:
-        overhead_ratio = (ratios[middle - 1] + ratios[middle]) / 2.0
+    overhead_ratio = statistics.median(ratios) if ratios else float("inf")
     return {
         "workload": {
             "num_users": num_users,
@@ -494,5 +470,7 @@ def run_chaos_overhead(
         "resilient_seconds": _percentile(times["resilient"], 0.5),
         "overhead_ratio": overhead_ratio,
         "overhead_pct": (overhead_ratio - 1.0) * 100.0,
-        "identical_output": outputs["plain"] == outputs["resilient"],
+        "identical_output": (
+            mismatches(outputs["plain"], outputs["resilient"]) == 0
+        ),
     }

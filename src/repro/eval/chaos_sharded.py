@@ -12,9 +12,10 @@ every round three audits must hold:
   answered twice, none is lost - even though frames were duplicated,
   dropped and retried; the workers' rid-dedup LRU plus the router's
   rid-echo discipline carry the proof.
-* **Byte-identical rankings.** Every ``ok`` reply's ranking equals a
-  never-faulted single-process twin that received the same edits, so
-  chaos changes *when and where* a query ran, never *what* it returned.
+* **Identical rankings.** Every ``ok`` reply's ranking equals
+  :func:`repro.eval.oracle.reference_service` after the same edits
+  (compared by :func:`repro.eval.oracle.mismatches`), so chaos changes
+  *when and where* a query ran, never *what* it returned.
 * **Durability through partitions.** Edits applied while the owner was
   unreachable land in the WAL (``applied_via: "wal"``) and are visible
   once the link heals.
@@ -48,8 +49,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.context.state import ContextState
-from repro.db.poi import generate_poi_relation
-from repro.eval.sharding import _population, _state_pool
+from repro.eval.oracle import (
+    mismatches,
+    population,
+    reference_service,
+    state_pool,
+)
 from repro.exceptions import ShardError
 from repro.faults.registry import FaultSpec, fault_plan
 from repro.io.serialize import preference_to_dict
@@ -107,19 +112,6 @@ def chaos_sharded_schedule() -> list[_Round]:
         ),
         _Round("drain", drain=True),
     ]
-
-
-def _build_twin(
-    num_users: int, num_rows: int, cache_capacity: int | None, seed: int
-) -> PersonalizationService:
-    environment = study_environment()
-    relation = generate_poi_relation(num_rows, seed=seed)
-    twin = PersonalizationService(
-        environment, relation, cache_capacity=cache_capacity
-    )
-    for user_id, persona in _population(num_users):
-        twin.register(user_id, persona)
-    return twin
 
 
 def _round_requests(
@@ -199,12 +191,12 @@ def _run_schedule(
 ) -> dict[str, object]:
     """Play the full schedule through one router and audit every round.
 
-    Requests, edit records (derived from the never-faulted twin) and
-    fault draws are all seeded, so a rerun replays the same schedule.
+    Requests, edit records (derived from the never-faulted reference
+    twin) and fault draws are all seeded, so a rerun replays the same
+    schedule.
     """
-    environment = study_environment()
-    pool = _state_pool(environment)
-    twin = _build_twin(num_users, num_rows, cache_capacity, seed)
+    pool = state_pool(study_environment(), wide=True)
+    twin = reference_service(num_users, num_rows, seed)
     rounds_report: list[dict[str, object]] = []
     total_requests = total_ok = 0
     total_lost = total_double = total_dedup = 0
@@ -226,7 +218,7 @@ def _run_schedule(
         )
         try:
             router.start()
-            router.register_many(_population(num_users))
+            router.register_many(population(num_users))
             before = _router_counters(router)
             for number, round_spec in enumerate(chaos_sharded_schedule()):
                 rng = random.Random(f"{seed}:{number}:{round_spec.name}")
@@ -332,10 +324,10 @@ def _play_round(
     for rid in rids:
         answered[rid] = answered.get(rid, 0) + 1
     double_served = sum(count - 1 for count in answered.values())
-    identical = len(replies) == len(requests) and all(
-        reply.get("ok") and reply.get("ranking") == expected
-        for reply, expected in zip(replies, reference)
-    )
+    identical = mismatches(
+        reference,
+        [reply.get("ranking") if reply.get("ok") else None for reply in replies],
+    ) == 0
     return {
         "name": round_spec.name,
         "faults": [

@@ -12,22 +12,24 @@ Two experiment drivers back the ``repro stats`` CLI subcommand and
   per-stage latency percentiles.
 * :func:`run_obs_overhead` - the cost of the metrics layer itself on
   the ranking hot path: the ``BENCH_rank.json`` workload run with the
-  registry disabled and enabled, best-of-``repeats`` wall-clock each,
-  proving the layer is ~free when off and <5% when on.
+  registry disabled and enabled, median-of-``repeats`` wall-clock each,
+  proving the layer is ~free when off and <5% when on; the two modes'
+  rankings must agree exactly (:func:`repro.eval.oracle.mismatches`).
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
 from repro.db.poi import generate_poi_relation
 from repro.db.relation import Relation
+from repro.eval.oracle import mismatches, population, ranking, state_pool
 from repro.eval.rank_costs import (
     _bench_profile_and_pool,
     _bench_rows,
     _bench_schema,
-    _signature,
 )
 from repro.obs.metrics import get_registry
 from repro.query.contextual_query import ContextualQuery
@@ -38,10 +40,6 @@ from repro.tree.profile_tree import ProfileTree
 from repro.workloads.users import all_personas, study_environment
 
 __all__ = ["run_obs_overhead", "run_scripted_workload", "summarize_snapshot"]
-
-_POOL_PEOPLE = ("friends", "family", "alone")
-_POOL_TEMPERATURES = ("warm", "hot", "cold")
-_POOL_LOCATIONS = ("Plaka", "Kifisia", "Syntagma")
 
 
 def summarize_snapshot(snapshot: dict) -> dict[str, object]:
@@ -115,22 +113,17 @@ def run_scripted_workload(
         service = PersonalizationService(
             environment, relation, cache_capacity=cache_capacity
         )
-        personas = all_personas()
-        user_ids = [f"user{index}" for index in range(num_users)]
-        for index, user_id in enumerate(user_ids):
-            service.register(user_id, personas[index % len(personas)])
+        users = population(num_users)
+        for user_id, persona in users:
+            service.register(user_id, persona)
+        user_ids = [user_id for user_id, _ in users]
 
         # A skewed pool of context states: repetition is what makes the
         # per-user caches hit; the pool exceeding the cache capacity is
         # what makes them evict.
         pool = [
-            ContextualQuery.at_state(
-                _state(environment, people, temp, location),
-                top_k=10,
-            )
-            for people in _POOL_PEOPLE
-            for temp in _POOL_TEMPERATURES
-            for location in _POOL_LOCATIONS
+            ContextualQuery.at_state(state, top_k=10)
+            for state in state_pool(environment, wide=True)
         ]
         for index in range(num_queries):
             user_id = user_ids[index % len(user_ids)]
@@ -154,7 +147,7 @@ def run_scripted_workload(
 
         # One full lifecycle: the transient user's cache listener must
         # not outlive the account.
-        service.register("transient", personas[-1])
+        service.register("transient", all_personas()[-1])
         service.query("transient", pool[1])
         service.unregister("transient")
 
@@ -180,27 +173,6 @@ def run_scripted_workload(
             registry.disable()
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-def _state(environment, people: str, temperature: str, location: str):
-    from repro.context.state import ContextState
-
-    return ContextState.from_mapping(
-        environment,
-        {
-            "accompanying_people": people,
-            "temperature": temperature,
-            "location": location,
-        },
-    )
-
-
 def run_obs_overhead(
     num_rows: int = 100_000,
     num_queries: int = 30,
@@ -222,7 +194,7 @@ def run_obs_overhead(
     modes back-to-back (same machine phase) and contributes one
     enabled/disabled ratio; the median of those ratios cancels the
     phase noise that corrupts any min- or mean-of-mode comparison.
-    Ranked outputs are asserted identical across modes.
+    The two modes' rankings must agree exactly (``identical_output``).
 
     Args:
         baseline_indexed_seconds: The ``indexed_seconds`` recorded in
@@ -243,7 +215,7 @@ def run_obs_overhead(
     registry = get_registry()
     was_enabled = registry.enabled
     times: dict[bool, list[float]] = {False: [], True: []}
-    outputs: dict[bool, list | None] = {False: None, True: None}
+    outputs: dict[bool, list] = {False: [], True: []}
     try:
         # Warm-up outside the timed runs (index caches, code paths).
         registry.disable()
@@ -257,28 +229,20 @@ def run_obs_overhead(
                 start = time.perf_counter()
                 run_outputs, _stats = rank_cs_batch(resolver, relation, descriptors)
                 times[enabled].append(time.perf_counter() - start)
-                outputs[enabled] = run_outputs
+                outputs[enabled] = [ranking(ranked) for ranked, _ in run_outputs]
     finally:
         if was_enabled:
             registry.enable()
         else:
             registry.disable()
-    disabled_outputs, enabled_outputs = outputs[False], outputs[True]
-    disabled_seconds = _median(times[False])
-    enabled_seconds = _median(times[True])
-
-    identical = all(
-        _signature(disabled_ranked) == _signature(enabled_ranked)
-        for (disabled_ranked, _), (enabled_ranked, _) in zip(
-            disabled_outputs, enabled_outputs
-        )
-    )
+    disabled_seconds = statistics.median(times[False])
+    enabled_seconds = statistics.median(times[True])
     ratios = [
         enabled_time / disabled_time
         for disabled_time, enabled_time in zip(times[False], times[True])
         if disabled_time > 0
     ]
-    overhead_ratio = _median(ratios) if ratios else float("inf")
+    overhead_ratio = statistics.median(ratios) if ratios else float("inf")
     report: dict[str, object] = {
         "workload": {
             "num_rows": num_rows,
@@ -295,7 +259,7 @@ def run_obs_overhead(
         "enabled_min_seconds": min(times[True]),
         "overhead_ratio": overhead_ratio,
         "overhead_pct": (overhead_ratio - 1.0) * 100.0,
-        "identical_output": identical,
+        "identical_output": mismatches(outputs[False], outputs[True]) == 0,
     }
     if baseline_indexed_seconds is not None:
         report["baseline_indexed_seconds"] = baseline_indexed_seconds

@@ -4,8 +4,9 @@ Two experiment drivers back the ``repro persistence`` CLI subcommand
 and ``benchmarks/bench_persistence.py``:
 
 * :func:`run_kill_restart` - the durability experiment. Two services
-  replay an identical seeded workload of profile edits and queries: a
-  **reference** service that never crashes (plain in-memory) and a
+  replay an identical seeded workload of profile edits and queries: the
+  never-crashed :func:`repro.eval.oracle.reference_service` (no store,
+  no cache, sequential scan) and a
   **durable** service backed by a :class:`~repro.storage.ProfileStore`
   that is killed and restarted after every round (the live object is
   dropped without shutdown and, for the flat-file backend, a torn
@@ -15,7 +16,8 @@ and ``benchmarks/bench_persistence.py``:
   fails must be rolled back atomically, so the reference service skips
   exactly those edits. After every restart the recovered service's
   rankings for **every user at every pool state** must equal the
-  reference's - byte-identical recovery, the acceptance criterion.
+  reference's exactly (:func:`repro.eval.oracle.mismatches`) - the
+  acceptance criterion.
 * :func:`run_paging_bench` - the scale experiment. ``num_users``
   (a million and up) are bulk-registered **cold** through the WAL,
   then a zipf-skewed query workload whose working set far exceeds
@@ -33,8 +35,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.context.state import ContextState
 from repro.db.poi import generate_poi_relation
+from repro.eval.oracle import (
+    mismatches,
+    population,
+    ranking,
+    reference_service,
+    state_pool,
+)
 from repro.exceptions import ReproError
 from repro.faults.registry import FaultSpec, fault_plan
 from repro.query.contextual_query import ContextualQuery
@@ -44,36 +52,6 @@ from repro.workloads.users import all_personas, study_environment
 from repro.workloads.zipf import ZipfSampler
 
 __all__ = ["kill_restart_schedule", "run_kill_restart", "run_paging_bench"]
-
-_POOL_PEOPLE = ("friends", "family", "alone")
-_POOL_TEMPERATURES = ("warm", "cold")
-_POOL_LOCATIONS = ("Plaka", "Kifisia")
-
-
-def _pool_states(environment) -> list[ContextState]:
-    """The serving pool: the stress tests' 12 context states."""
-    return [
-        ContextState.from_mapping(
-            environment,
-            {
-                "accompanying_people": people,
-                "temperature": temperature,
-                "location": location,
-            },
-        )
-        for people in _POOL_PEOPLE
-        for temperature in _POOL_TEMPERATURES
-        for location in _POOL_LOCATIONS
-    ]
-
-
-def _signature(result) -> tuple:
-    """Order-sensitive ranking fingerprint, stable across row objects."""
-    return tuple(
-        (item.row.get("pid", id(item.row)), round(item.score, 12))
-        for item in result.results
-    )
-
 
 def _open_store(backend: str, root: Path) -> ProfileStore:
     if backend == "jsonl":
@@ -173,8 +151,8 @@ def _run_kill_restart(
     torn_writes: bool,
 ) -> dict[str, object]:
     environment = study_environment()
-    personas = all_personas()
-    user_ids = [f"user{index}" for index in range(num_users)]
+    users = population(num_users)
+    user_ids = [user_id for user_id, _ in users]
 
     def durable_service(store: ProfileStore) -> PersonalizationService:
         # Fresh relation per incarnation (same seed = same rows, same
@@ -187,20 +165,23 @@ def _run_kill_restart(
             hydrated_budget=hydrated_budget,
         )
 
-    reference = PersonalizationService(
-        environment, generate_poi_relation(num_rows, seed=seed), cache_capacity=8
-    )
+    reference = reference_service(num_users, num_rows, seed)
     store = _open_store(backend, root)
     durable = durable_service(store)
-    for index, user_id in enumerate(user_ids):
-        persona = personas[index % len(personas)]
-        reference.register(user_id, persona)
+    for user_id, persona in users:
         durable.register(user_id, persona)
 
     pool = [
         ContextualQuery.at_state(state, top_k=10)
-        for state in _pool_states(environment)
+        for state in state_pool(environment)
     ]
+
+    def audit(requests: list[tuple[str, ContextualQuery]]) -> int:
+        return mismatches(
+            [ranking(reference.query(*request).results) for request in requests],
+            [ranking(durable.query(*request).results) for request in requests],
+        )
+
     rng = random.Random(f"kill-restart-workload:{seed}")
     schedule = kill_restart_schedule(seed=seed, rounds=rounds)
 
@@ -241,14 +222,12 @@ def _run_kill_restart(
                         break
                     step(reference)
                     applied_this_round += 1
-            for _ in range(queries_per_round):
-                user_id = rng.choice(user_ids)
-                query = rng.choice(pool)
-                ranking_checks += 1
-                if _signature(durable.query(user_id, query)) != _signature(
-                    reference.query(user_id, query)
-                ):
-                    ranking_mismatches += 1
+            requests = [
+                (rng.choice(user_ids), rng.choice(pool))
+                for _ in range(queries_per_round)
+            ]
+            ranking_checks += len(requests)
+            ranking_mismatches += audit(requests)
         edits_applied += applied_this_round
         edits_rejected += rejected_this_round
 
@@ -270,14 +249,10 @@ def _run_kill_restart(
             restarts += 1
             recovered = len(durable)
             expected = len(reference)
-            mismatch_before = ranking_mismatches
-            for user_id in user_ids:
-                for query in pool:
-                    ranking_checks += 1
-                    if _signature(durable.query(user_id, query)) != _signature(
-                        reference.query(user_id, query)
-                    ):
-                        ranking_mismatches += 1
+            requests = [(user_id, query) for user_id in user_ids for query in pool]
+            post_recovery = audit(requests)
+            ranking_checks += len(requests)
+            ranking_mismatches += post_recovery
             round_reports.append(
                 {
                     "round": round_index,
@@ -286,8 +261,7 @@ def _run_kill_restart(
                     "edits_rejected": rejected_this_round,
                     "recovered_profiles": recovered,
                     "expected_profiles": expected,
-                    "post_recovery_mismatches": ranking_mismatches
-                    - mismatch_before,
+                    "post_recovery_mismatches": post_recovery,
                     "replayed_records": durable.last_recovery.replayed,
                     "snapshot_lsn": durable.last_recovery.snapshot_lsn,
                 }
@@ -313,6 +287,7 @@ def _run_kill_restart(
         else 1.0
     )
     durable.close()
+    reference.close()
     return {
         "workload": {
             "num_users": num_users,
@@ -450,7 +425,7 @@ def _run_paging_bench(
 
     pool = [
         ContextualQuery.at_state(state, top_k=5)
-        for state in _pool_states(environment)
+        for state in state_pool(environment)
     ]
     sampler = ZipfSampler(num_users, zipf_a, np.random.default_rng(seed))
     ranks = sampler.sample_many(num_queries)

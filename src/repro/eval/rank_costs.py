@@ -14,8 +14,8 @@ an indexed selection touches hash-bucket / ``bisect`` / posting cells
 * :func:`run_rank_hotpath` - the end-to-end wall-clock benchmark
   behind ``benchmarks/bench_rank_hotpath.py``: per-descriptor
   ``rank_cs`` with sequential scans against batched
-  ``rank_cs_batch`` over an indexed relation, asserting identical
-  ranked output.
+  ``rank_cs_batch`` over an indexed relation, whose rankings must
+  agree exactly (:func:`repro.eval.oracle.mismatches`).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.context.descriptor import ContextDescriptor
 from repro.db.poi import POI_TYPES, generate_poi_relation
 from repro.db.relation import Relation
 from repro.db.schema import Attribute, Schema
+from repro.eval.oracle import mismatches, ranking
 from repro.preferences.preference import AttributeClause, ContextualPreference
 from repro.preferences.profile import Profile
 from repro.query.rank import rank_cs, rank_cs_batch
@@ -192,10 +193,6 @@ def _bench_profile_and_pool(
     return profile, pool
 
 
-def _signature(ranked) -> list[tuple[object, float]]:
-    return [(item.row["pid"], item.score) for item in ranked]
-
-
 def run_rank_hotpath(
     num_rows: int = 100_000,
     num_queries: int = 30,
@@ -256,12 +253,10 @@ def run_rank_hotpath(
     )
     indexed_seconds = time.perf_counter() - start
 
-    identical = all(
-        _signature(sequential_ranked) == _signature(batched_ranked)
-        for (sequential_ranked, _), (batched_ranked, _) in zip(
-            sequential_outputs, batched_outputs
-        )
-    )
+    identical = mismatches(
+        [ranking(ranked) for ranked, _ in sequential_outputs],
+        [ranking(ranked) for ranked, _ in batched_outputs],
+    ) == 0
     mean_result_size = (
         sum(len(ranked) for ranked, _ in batched_outputs) / len(batched_outputs)
         if batched_outputs

@@ -19,7 +19,8 @@ assertions:
   the highest worker count while writer threads edit disjoint user
   profiles through the same service, then verifies zero failed
   requests and that every ranked result of the *quiescent* scaling
-  runs is identical to the sequential baseline.
+  runs equals :func:`repro.eval.oracle.reference_service`'s exactly
+  (:func:`repro.eval.oracle.mismatches`).
 
 The CLI front-end is ``python -m repro serve-bench``; the regression
 benchmark (``benchmarks/bench_concurrency.py``) serialises the report
@@ -35,42 +36,19 @@ from collections.abc import Sequence
 from repro.concurrency.executor import ConcurrentQueryExecutor
 from repro.concurrency.locks import Mutex
 from repro.db.poi import generate_poi_relation
+from repro.eval.oracle import (
+    mismatches,
+    population,
+    ranking,
+    reference_service,
+    state_pool,
+)
 from repro.query.contextual_query import ContextualQuery
 from repro.service.personalization import PersonalizationService
 from repro.workloads.streams import query_stream
-from repro.workloads.users import all_personas, study_environment
+from repro.workloads.users import study_environment
 
 __all__ = ["run_serve_bench"]
-
-_POOL_PEOPLE = ("friends", "family", "alone")
-_POOL_TEMPERATURES = ("warm", "hot", "cold")
-_POOL_LOCATIONS = ("Plaka", "Kifisia", "Syntagma")
-
-
-def _state_pool(environment):
-    from repro.context.state import ContextState
-
-    return [
-        ContextState.from_mapping(
-            environment,
-            {
-                "accompanying_people": people,
-                "temperature": temperature,
-                "location": location,
-            },
-        )
-        for people in _POOL_PEOPLE
-        for temperature in _POOL_TEMPERATURES
-        for location in _POOL_LOCATIONS
-    ]
-
-
-def _ranking_signature(result) -> tuple:
-    """A comparable fingerprint of one ranked result set."""
-    return tuple(
-        (item.row.get("pid", id(item.row)), round(item.score, 12))
-        for item in result.results
-    )
 
 
 def run_serve_bench(
@@ -94,11 +72,11 @@ def run_serve_bench(
     skew ``zipf_a``, temporal ``locality``), then:
 
     1. executes the set sequentially (in-thread) to warm the per-user
-       caches and record the reference rankings;
+       caches;
     2. for each entry of ``thread_counts``, replays the identical set
        through a :class:`ConcurrentQueryExecutor` with that many
        workers, timing the batch and checking every ranking against
-       the reference;
+       :func:`repro.eval.oracle.reference_service`;
     3. re-runs at the highest count while ``num_writers`` threads
        apply ``edits_per_writer`` profile edits each (to their own
        users) through the same service - the churn phase must finish
@@ -117,26 +95,28 @@ def run_serve_bench(
     service = PersonalizationService(
         environment, relation, cache_capacity=cache_capacity
     )
-    personas = all_personas()
-    user_ids = [f"user{index}" for index in range(num_users)]
-    for index, user_id in enumerate(user_ids):
-        service.register(user_id, personas[index % len(personas)])
+    for user_id, persona in population(num_users):
+        service.register(user_id, persona)
 
-    pool = _state_pool(environment)
+    pool = state_pool(environment, wide=True)
     states = list(
         query_stream(pool, num_queries, seed=seed, zipf_a=zipf_a, locality=locality)
     )
     requests = [
-        (user_ids[index % num_users], ContextualQuery.at_state(state, top_k=10))
+        (f"user{index % num_users}", ContextualQuery.at_state(state, top_k=10))
         for index, state in enumerate(states)
     ]
-
-    # 1. Sequential warm-up + reference rankings.
-    warm_started = time.perf_counter()
-    reference = [
-        _ranking_signature(service.query(user_id, query))
+    reference = reference_service(num_users, num_rows, seed)
+    expected = [
+        ranking(reference.query(user_id, query).results)
         for user_id, query in requests
     ]
+    reference.close()
+
+    # 1. Sequential warm-up pass.
+    warm_started = time.perf_counter()
+    for user_id, query in requests:
+        service.query(user_id, query)
     warm_seconds = time.perf_counter() - warm_started
 
     def request_callable(user_id: str, query: ContextualQuery):
@@ -157,9 +137,11 @@ def run_serve_bench(
             started = time.perf_counter()
             outcomes = executor.run(callables)
             elapsed = time.perf_counter() - started
-        for outcome, expected in zip(outcomes, reference):
-            if not outcome.ok or _ranking_signature(outcome.result) != expected:
-                identical = False
+        answers = [
+            ranking(outcome.result.results) if outcome.ok else None
+            for outcome in outcomes
+        ]
+        identical = identical and mismatches(expected, answers) == 0
         qps = len(requests) / elapsed if elapsed > 0 else float("inf")
         if base_qps is None:
             base_qps = qps

@@ -14,14 +14,15 @@ The questions the sharding layer must answer with numbers:
   the waits even on one core; on a multi-core host the CPU portion
   parallelises too.
 * **Is sharding invisible to results?** Every ranked result from every
-  worker count is compared against the baseline's rankings
+  worker count is compared against
+  :func:`repro.eval.oracle.reference_service` in wire format
   (``identical_output``); sharding must change *where* a query runs,
   never *what* it returns.
 * **Does a crash stay invisible?** The chaos round installs a seeded
   ``worker.kill`` fault plan, re-runs the request set at the highest
   worker count, and verifies that after the mid-batch kill and the
   WAL-backed rebalance every request was answered exactly once with
-  rankings still identical to the baseline
+  rankings still identical to the reference
   (``identical_after_rebalance``).
 
 The CLI front-end is ``python -m repro shard-bench``; the regression
@@ -38,45 +39,23 @@ from pathlib import Path
 
 from repro.context.state import ContextState
 from repro.db.poi import generate_poi_relation
+from repro.eval.oracle import (
+    mismatches,
+    population,
+    reference_service,
+    state_pool,
+)
 from repro.faults.registry import FaultSpec, fault_plan
 from repro.query.contextual_query import ContextualQuery
 from repro.service.personalization import PersonalizationService
 from repro.sharding.router import ShardRouter
 from repro.sharding.worker import ranking_pairs
 from repro.workloads.streams import query_stream
-from repro.workloads.users import Persona, all_personas, study_environment
+from repro.workloads.users import study_environment
 
 __all__ = ["run_shard_bench"]
 
-_POOL_PEOPLE = ("friends", "family", "alone")
-_POOL_TEMPERATURES = ("warm", "hot", "cold")
-_POOL_LOCATIONS = ("Plaka", "Kifisia", "Syntagma")
-
 _TOP_K = 10
-
-
-def _state_pool(environment) -> list[ContextState]:
-    return [
-        ContextState.from_mapping(
-            environment,
-            {
-                "accompanying_people": people,
-                "temperature": temperature,
-                "location": location,
-            },
-        )
-        for people in _POOL_PEOPLE
-        for temperature in _POOL_TEMPERATURES
-        for location in _POOL_LOCATIONS
-    ]
-
-
-def _population(num_users: int) -> list[tuple[str, Persona]]:
-    personas = all_personas()
-    return [
-        (f"user{index}", personas[index % len(personas)])
-        for index in range(num_users)
-    ]
 
 
 def _single_process_reference(
@@ -86,20 +65,20 @@ def _single_process_reference(
     io_wait: float,
     requests: list[tuple[str, ContextState]],
     seed: int,
-) -> tuple[list[list[list[object]]], float]:
+) -> float:
     """Run the request set on the plain in-process service.
 
-    Returns the reference rankings (wire format, so they compare
-    exactly against worker replies) and the timed seconds of the
-    *second* pass - the first pass warms the per-user caches, matching
-    the warmed runs the router counts are measured on.
+    Returns the timed seconds of the *second* pass - the first pass
+    warms the per-user caches, matching the warmed runs the router
+    counts are measured on. This is the timing baseline only; the
+    expected rankings come from the reference service.
     """
     environment = study_environment()
     relation = generate_poi_relation(num_rows, seed=seed)
     service = PersonalizationService(
         environment, relation, cache_capacity=cache_capacity
     )
-    for user_id, persona in _population(num_users):
+    for user_id, persona in population(num_users):
         service.register(user_id, persona)
     queries = [
         (user_id, ContextualQuery.at_state(state, top_k=_TOP_K))
@@ -108,14 +87,18 @@ def _single_process_reference(
     for user_id, query in queries:  # warm-up pass (untimed)
         service.query(user_id, query)
     started = time.perf_counter()
-    rankings = []
     for user_id, query in queries:
         if io_wait:
             time.sleep(io_wait)
-        rankings.append(ranking_pairs(service.query(user_id, query)))
+        service.query(user_id, query)
     elapsed = time.perf_counter() - started
     service.close()
-    return rankings, elapsed
+    return elapsed
+
+
+def _answers(replies: list[dict]) -> list[object]:
+    """Each reply's wire ranking, ``None`` for a failed reply."""
+    return [reply["ranking"] if reply["ok"] else None for reply in replies]
 
 
 def run_shard_bench(
@@ -139,12 +122,13 @@ def run_shard_bench(
 
     1. runs the request set on a plain single-process service (warmed,
        with the same per-request ``io_wait_ms``) to get the baseline
-       QPS and the reference rankings;
+       QPS, and on :func:`repro.eval.oracle.reference_service` to get
+       the expected rankings;
     2. for each entry of ``worker_counts``, starts a
        :class:`ShardRouter` over a fresh WAL directory, registers the
        population through it, replays the identical set once to warm
        the workers and once timed, and checks every ranking against
-       the reference;
+       the expected ones;
     3. with ``chaos`` on (and at least two workers at the top count),
        re-runs the set at the highest count under a seeded
        ``worker.kill`` plan: one worker is really killed mid-dispatch,
@@ -158,8 +142,7 @@ def run_shard_bench(
         raise ValueError("worker_counts must be positive integers")
     io_wait = max(0.0, io_wait_ms) / 1000.0
 
-    environment = study_environment()
-    pool = _state_pool(environment)
+    pool = state_pool(study_environment(), wide=True)
     states = list(
         query_stream(pool, num_queries, seed=seed, zipf_a=zipf_a, locality=locality)
     )
@@ -167,9 +150,14 @@ def run_shard_bench(
         (f"user{index % num_users}", state)
         for index, state in enumerate(states)
     ]
-    population = _population(num_users)
+    twin = reference_service(num_users, num_rows, seed)
+    reference = [
+        ranking_pairs(twin.query_at(user_id, state, top_k=_TOP_K))
+        for user_id, state in requests
+    ]
+    twin.close()
 
-    reference, baseline_seconds = _single_process_reference(
+    baseline_seconds = _single_process_reference(
         num_users, num_rows, cache_capacity, io_wait, requests, seed
     )
     baseline_qps = (
@@ -193,15 +181,12 @@ def run_shard_bench(
                 io_wait_ms=io_wait_ms,
                 worker_threads=worker_threads,
             ) as router:
-                router.register_many(population)
+                router.register_many(population(num_users))
                 router.query_many(batch)  # warm-up pass (untimed)
                 started = time.perf_counter()
                 replies = router.query_many(batch)
                 elapsed = time.perf_counter() - started
-                count_identical = all(
-                    reply["ok"] and reply["ranking"] == expected
-                    for reply, expected in zip(replies, reference)
-                )
+                count_identical = mismatches(reference, _answers(replies)) == 0
                 identical = identical and count_identical
                 qps = len(batch) / elapsed if elapsed > 0 else float("inf")
                 series[str(count)] = {
@@ -258,10 +243,7 @@ def _run_chaos_round(
         replies = router.query_many(batch)
     failed = sum(1 for reply in replies if not reply["ok"])
     duplicates = sum(1 for reply in replies if reply.get("duplicate"))
-    identical_after = all(
-        reply["ok"] and reply["ranking"] == expected
-        for reply, expected in zip(replies, reference)
-    )
+    identical_after = mismatches(reference, _answers(replies)) == 0
     health = router.check_health()
     return {
         "enabled": True,

@@ -1,4 +1,4 @@
-"""Fixture: hot-path hygiene violations (HYG001-HYG005).
+"""Fixture: hot-path hygiene violations (HYG001, HYG002, HYG004, HYG005).
 
 Fed to the analyzer under a pretend ``repro.*`` module name by
 ``tests/analysis/test_hygiene.py``; never imported by shipped code.
@@ -15,12 +15,6 @@ def make_bare_lock() -> object:
 def chatty(message: str) -> None:
     # HYG002: print in library code.
     print(message)
-
-
-def accumulate(item: object, bucket: list = []) -> list:
-    # HYG003: the default list is shared across every call.
-    bucket.append(item)
-    return bucket
 
 
 def rank_rows(relation, contributions, registry) -> list:

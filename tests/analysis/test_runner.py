@@ -88,7 +88,6 @@ class TestReport:
             ("LAYER002", "service"),
             ("HYG001", "threading"),
             ("HYG002", "print"),
-            ("HYG003", "mutable default"),
             ("HYG004", "metric"),
         ],
     )
@@ -212,7 +211,6 @@ class TestCli:
                             "LAYER002",
                             "HYG001",
                             "HYG002",
-                            "HYG003",
                             "HYG004",
                             "HYG005",
                             "BLOCK001",

@@ -16,6 +16,7 @@ import pytest
 
 from repro import ContextQueryTree, ContextState, ContextualQuery, generate_poi_relation
 from repro.concurrency import ConcurrentQueryExecutor, lock_sanitizer
+from repro.eval.oracle import ranking
 from repro.obs.metrics import get_registry
 from repro.service import PersonalizationService
 from repro.workloads import all_personas, study_environment
@@ -78,13 +79,6 @@ def states_for(environment):
         for temperature in ("warm", "cold")
         for location in ("Plaka", "Kifisia")
     ]
-
-
-def signature(result):
-    return tuple(
-        (item.row.get("pid", id(item.row)), round(item.score, 12))
-        for item in result.results
-    )
 
 
 class TestWritersVersusReaders:
@@ -184,9 +178,9 @@ class TestWritersVersusReaders:
                 thread.join(timeout=60)
 
         for user_id in user_ids:
-            cached = signature(service.query(user_id, query))
+            cached = ranking(service.query(user_id, query).results)
             service.account(user_id).cache.clear()
-            fresh = signature(service.query(user_id, query))
+            fresh = ranking(service.query(user_id, query).results)
             assert cached == fresh, f"stale cache entry served for {user_id}"
 
     def test_read_your_writes(self, service):
@@ -220,9 +214,9 @@ class TestWritersVersusReaders:
                 # The caches that could have held the old score were
                 # invalidated before update_preference returned, so a
                 # fresh compute must agree with a cache-cleared one.
-                after = signature(service.query(user_id, query))
+                after = ranking(service.query(user_id, query).results)
                 service.account(user_id).cache.clear()
-                assert signature(service.query(user_id, query)) == after
+                assert ranking(service.query(user_id, query).results) == after
         finally:
             stop.set()
             for thread in readers:

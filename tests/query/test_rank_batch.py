@@ -12,6 +12,7 @@ from repro import (
     rank_cs,
     rank_cs_batch,
 )
+from repro.eval.oracle import ranking
 from repro.query import ContextualQueryExecutor
 from repro.tree import AccessCounter
 
@@ -47,10 +48,6 @@ def descriptors():
     return [friends, plaka, friends, plaka, friends]
 
 
-def _signatures(ranked):
-    return [(item.row["pid"], item.score) for item in ranked]
-
-
 class TestRankCsBatch:
     def test_matches_per_descriptor_rank_cs(self, fig4_tree, relation, descriptors):
         resolver = ContextResolver(fig4_tree)
@@ -60,7 +57,7 @@ class TestRankCsBatch:
             expected_ranked, expected_resolutions = rank_cs(
                 resolver, relation, descriptor
             )
-            assert _signatures(ranked) == _signatures(expected_ranked)
+            assert ranking(ranked) == ranking(expected_ranked)
             assert [r.query_state for r in resolutions] == [
                 r.query_state for r in expected_resolutions
             ]
@@ -125,5 +122,5 @@ class TestExecutorRankMany:
         assert stats.state_memo_hits > 0
         for descriptor, result in zip(descriptors, results):
             expected_ranked, _ = rank_cs(executor.resolver, relation, descriptor)
-            assert _signatures(result.results) == _signatures(expected_ranked)
+            assert ranking(result.results) == ranking(expected_ranked)
             assert result.contextual

@@ -16,6 +16,7 @@ from repro import (
     Relation,
     Schema,
 )
+from repro.eval.oracle import ranking
 from repro.exceptions import ServiceUnavailable
 from repro.faults import FaultSpec, fault_plan
 from repro.query import ResilientQueryExecutor, generalize_state
@@ -36,10 +37,6 @@ def make_relation(auto_index=True):
         [Attribute("pid", "int"), Attribute("type", "str"), Attribute("name", "str")]
     )
     return Relation("pois", schema, rows(), auto_index=auto_index)
-
-
-def signature(result):
-    return [(item.row["pid"], item.score) for item in result.results]
 
 
 @pytest.fixture
@@ -76,23 +73,23 @@ class TestLevels:
     def test_healthy_path_serves_full(self, resilient, env_state):
         result = resilient.execute(ContextualQuery.at_state(env_state))
         assert result.degradation == "full"
-        assert signature(result) == [(2, 0.9)]
+        assert ranking(result.results) == [(2, 0.9)]
 
     def test_poisoned_cache_serves_cache_bypass(self, resilient, env_state):
         query = ContextualQuery.at_state(env_state)
-        expected = signature(resilient.execute(query))  # primes the cache
+        expected = ranking(resilient.execute(query).results)  # primes the cache
         with fault_plan([FaultSpec(site="cache.get", kind="corrupt")]):
             result = resilient.execute(query)
         assert result.degradation == "cache_bypass"
-        assert signature(result) == expected
+        assert ranking(result.results) == expected
 
     def test_erroring_cache_serves_cache_bypass(self, resilient, env_state):
         query = ContextualQuery.at_state(env_state)
-        expected = signature(resilient.execute(query))
+        expected = ranking(resilient.execute(query).results)
         with fault_plan([FaultSpec(site="cache.get", kind="error")]):
             result = resilient.execute(query)
         assert result.degradation == "cache_bypass"
-        assert signature(result) == expected
+        assert ranking(result.results) == expected
 
     def test_failing_index_build_serves_scan(self, fig4_tree, env_state):
         # A fresh relation with no indexes yet: the first selection
@@ -110,7 +107,7 @@ class TestLevels:
         with fault_plan([FaultSpec(site="relation.index_build", kind="error")]):
             result = resilient.execute(ContextualQuery.at_state(env_state))
         assert result.degradation == "scan"
-        assert signature(result) == [(2, 0.9)]
+        assert ranking(result.results) == [(2, 0.9)]
 
     def test_transient_search_failure_serves_generalized(
         self, env, fig4_preferences, env_state
@@ -141,7 +138,7 @@ class TestLevels:
         # At (friends, warm, Kifisia) the cafeteria preference would
         # dominate; the parent state keeps only the Athens preference.
         assert result.contextual
-        assert signature(result) == [(4, 0.7)]
+        assert ranking(result.results) == [(4, 0.7)]
 
     def test_persistent_search_failure_serves_unranked(
         self, resilient, env_state

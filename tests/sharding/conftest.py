@@ -1,22 +1,23 @@
-"""Shared fixtures: a tiny sharded deployment and its in-process twin.
+"""Shared fixtures: a tiny sharded deployment and its reference twin.
 
-The twin is a plain single-process :class:`PersonalizationService`
-built over the *same* deterministic dataset and population as the
-routed workers; rankings served through the router must be
-bit-identical to the twin's, before and after crashes.
+The twin is :func:`repro.eval.oracle.reference_service` over the
+*same* deterministic dataset and population as the routed workers;
+rankings served through the router must equal the twin's, before and
+after crashes.
 """
 
 import pytest
 
 from repro.concurrency import blocking_sanitizer
 from repro.context.state import ContextState
-from repro.db.poi import generate_poi_relation
-from repro.service.personalization import PersonalizationService
+from repro.eval.oracle import population, reference_service
 from repro.sharding import ShardRouter
-from repro.workloads.users import all_personas, study_environment
 
 NUM_ROWS = 120
+NUM_USERS = 8
 SEED = 7
+TOP_K = 10
+USERS = [user_id for user_id, _ in population(NUM_USERS)]
 
 
 @pytest.fixture(autouse=True)
@@ -24,25 +25,6 @@ def _blocking_sanitizer():
     """BLOCK001's runtime twin guards the whole sharding suite."""
     with blocking_sanitizer():
         yield
-TOP_K = 10
-USERS = [f"user{index}" for index in range(8)]
-
-
-def population():
-    personas = all_personas()
-    return [
-        (user_id, personas[index % len(personas)])
-        for index, user_id in enumerate(USERS)
-    ]
-
-
-def make_twin():
-    service = PersonalizationService(
-        study_environment(), generate_poi_relation(NUM_ROWS, seed=SEED)
-    )
-    for user_id, persona in population():
-        service.register(user_id, persona)
-    return service
 
 
 def make_states(environment):
@@ -65,13 +47,13 @@ def start_router(wal_root, num_workers=2, **kwargs):
     kwargs.setdefault("data_seed", SEED)
     router = ShardRouter(num_workers, wal_root=wal_root, **kwargs)
     router.start()
-    router.register_many(population())
+    router.register_many(population(NUM_USERS))
     return router
 
 
 @pytest.fixture(scope="module")
 def twin():
-    service = make_twin()
+    service = reference_service(NUM_USERS, NUM_ROWS, SEED)
     yield service
     service.close()
 

@@ -9,16 +9,24 @@ WAL-vocabulary record application is idempotent.
 
 import pytest
 
+from repro.eval.oracle import reference_service
 from repro.faults.registry import FaultSpec, fault_plan
 from repro.io.serialize import preference_to_dict
 from repro.sharding.worker import _Dedup, ranking_pairs
 
-from tests.sharding.conftest import SEED, TOP_K, USERS, make_twin, start_router
+from tests.sharding.conftest import (
+    NUM_ROWS,
+    NUM_USERS,
+    SEED,
+    TOP_K,
+    USERS,
+    start_router,
+)
 
 
 @pytest.fixture
 def local_twin():
-    service = make_twin()
+    service = reference_service(NUM_USERS, NUM_ROWS, SEED)
     yield service
     service.close()
 

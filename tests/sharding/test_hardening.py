@@ -10,19 +10,27 @@ ranking is byte-identical to the never-faulted twin.
 
 import pytest
 
+from repro.eval.oracle import reference_service
 from repro.exceptions import ShardError
 from repro.faults.registry import FaultSpec, fault_plan
 from repro.io.serialize import preference_to_dict
 from repro.resilience import Deadline, deadline_scope
 from repro.sharding.worker import ranking_pairs
 
-from tests.sharding.conftest import SEED, TOP_K, USERS, make_twin, start_router
+from tests.sharding.conftest import (
+    NUM_ROWS,
+    NUM_USERS,
+    SEED,
+    TOP_K,
+    USERS,
+    start_router,
+)
 
 
 @pytest.fixture
 def make_local_twin():
     """A function-scoped twin this file may mutate (edit scenarios)."""
-    service = make_twin()
+    service = reference_service(NUM_USERS, NUM_ROWS, SEED)
     yield service
     service.close()
 

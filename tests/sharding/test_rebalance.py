@@ -4,6 +4,7 @@ twice (idempotent frame ids)."""
 
 import pytest
 
+from repro.eval.oracle import population
 from repro.exceptions import ShardError
 from repro.faults.registry import FaultSpec, fault_plan
 from repro.io.serialize import preference_to_dict
@@ -12,10 +13,10 @@ from repro.sharding.worker import ranking_pairs
 
 from tests.sharding.conftest import (
     NUM_ROWS,
+    NUM_USERS,
     SEED,
     TOP_K,
     USERS,
-    population,
     start_router,
 )
 
@@ -142,7 +143,7 @@ class TestWithoutDurability:
         router = ShardRouter(2, num_rows=NUM_ROWS, data_seed=SEED)
         try:
             router.start()
-            router.register_many(population())
+            router.register_many(population(NUM_USERS))
             victim = router.route(USERS[0])
             rerouted = [
                 user_id for user_id in USERS if router.route(user_id) == victim

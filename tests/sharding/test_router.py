@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.eval.oracle import population
 from repro.exceptions import ShardError
 from repro.sharding import ShardRouter
 from repro.sharding.worker import ranking_pairs
 
-from tests.sharding.conftest import TOP_K, USERS, start_router
+from tests.sharding.conftest import NUM_USERS, TOP_K, USERS, start_router
 
 
 class TestLifecycle:
@@ -135,8 +136,7 @@ class TestEdits:
         assert router.store.last_lsn() == before
 
     def test_repeated_rid_is_deduplicated(self, router, twin):
-        from tests.sharding.conftest import population
-
+        persona = population(NUM_USERS)[0][1]
         user_id = USERS[2]
         owner = router.route(user_id)
         handle = router._workers[owner]
@@ -144,9 +144,9 @@ class TestEdits:
             "op": "register",
             "user": "fresh-user",
             "persona": {
-                "age_group": population()[0][1].age_group,
-                "sex": population()[0][1].sex,
-                "taste": population()[0][1].taste,
+                "age_group": persona.age_group,
+                "sex": persona.sex,
+                "taste": persona.taste,
             },
         }
         payload = {"op": "edit", "rid": "fixed-rid", "record": record}

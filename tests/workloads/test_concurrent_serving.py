@@ -12,6 +12,7 @@ import pytest
 
 from repro import ContextState, ContextualQuery, generate_poi_relation
 from repro.concurrency import ConcurrentQueryExecutor
+from repro.eval.oracle import ranking
 from repro.service import PersonalizationService
 from repro.workloads import all_personas, study_environment
 from repro.workloads.streams import query_stream
@@ -55,21 +56,15 @@ def requests(service):
     ]
 
 
-def signature(result):
-    return tuple(
-        (item.row.get("pid", id(item.row)), round(item.score, 12))
-        for item in result.results
-    )
-
-
 class TestConcurrentEqualsSequential:
     def test_query_many_matches_sequential_loop(self, service, requests):
         sequential = [
-            signature(service.query(user_id, query)) for user_id, query in requests
+            ranking(service.query(user_id, query).results)
+            for user_id, query in requests
         ]
         outcomes = service.query_many(requests, max_workers=4)
         assert all(outcome.ok for outcome in outcomes)
-        concurrent = [signature(outcome.result) for outcome in outcomes]
+        concurrent = [ranking(outcome.result.results) for outcome in outcomes]
         assert concurrent == sequential
 
     def test_repeat_runs_identical_across_widths(self, service, requests):
@@ -77,19 +72,20 @@ class TestConcurrentEqualsSequential:
         for workers in (1, 2, 4):
             outcomes = service.query_many(requests, max_workers=workers)
             assert all(outcome.ok for outcome in outcomes)
-            signatures = [signature(outcome.result) for outcome in outcomes]
+            rankings = [ranking(outcome.result.results) for outcome in outcomes]
             if baseline is None:
-                baseline = signatures
+                baseline = rankings
             else:
-                assert signatures == baseline
+                assert rankings == baseline
 
     def test_shared_executor_reused_across_batches(self, service, requests):
         sequential = [
-            signature(service.query(user_id, query)) for user_id, query in requests
+            ranking(service.query(user_id, query).results)
+            for user_id, query in requests
         ]
         with ConcurrentQueryExecutor(max_workers=4) as executor:
             first = service.query_many(requests, executor=executor)
             second = service.query_many(requests, executor=executor)
             assert executor.stats()["submitted"] == 2 * len(requests)
         for outcomes in (first, second):
-            assert [signature(o.result) for o in outcomes] == sequential
+            assert [ranking(o.result.results) for o in outcomes] == sequential
