@@ -7,8 +7,7 @@ Two measurements back this PR's acceptance bar:
   seeded edit/query workload (with torn WAL tails and injected
   ``storage.append`` failures); after every restart, 100% of profiles
   must be recovered and every user's rankings must equal a reference
-  service that never crashed. Both backends (JSON-lines and SQLite)
-  are exercised.
+  service that never crashed.
 * **Million-user paging** (``repro.eval.persistence.run_paging_bench``)
   - >= 1,000,000 users are bulk-registered cold through the WAL, then
   a zipf workload whose working set far exceeds ``hydrated_budget``
@@ -39,29 +38,21 @@ def test_kill_restart_recovery(benchmark, once, smoke):
                   queries_per_round=24)
     )
 
-    def run_both():
-        return {
-            backend: run_kill_restart(backend=backend, seed=29, **kwargs)
-            for backend in ("jsonl", "sqlite")
-        }
-
-    reports = once(benchmark, run_both)
-    rows = []
-    for backend, report in reports.items():
-        rows += [
-            [f"{backend}: restarts", report["restarts"]],
-            [f"{backend}: torn tails repaired", report["torn_tails_repaired"]],
-            [
-                f"{backend}: edits applied / rejected",
-                f"{report['edits_applied']} / {report['edits_rejected']}",
-            ],
-            [f"{backend}: recovery rate", f"{report['recovery_rate']:.2%}"],
-            [
-                f"{backend}: ranking audit",
-                f"{report['ranking_mismatches']} mismatches / "
-                f"{report['ranking_checks']} checked",
-            ],
-        ]
+    report = once(benchmark, run_kill_restart, seed=29, **kwargs)
+    rows = [
+        ["restarts", report["restarts"]],
+        ["torn tails repaired", report["torn_tails_repaired"]],
+        [
+            "edits applied / rejected",
+            f"{report['edits_applied']} / {report['edits_rejected']}",
+        ],
+        ["recovery rate", f"{report['recovery_rate']:.2%}"],
+        [
+            "ranking audit",
+            f"{report['ranking_mismatches']} mismatches / "
+            f"{report['ranking_checks']} checked",
+        ],
+    ]
     print()
     print(
         format_table(
@@ -70,22 +61,20 @@ def test_kill_restart_recovery(benchmark, once, smoke):
             title="Persistence: kill/restart recovery vs never-crashed reference",
         )
     )
-    for backend, report in reports.items():
-        assert report["restarts"] >= 1, f"{backend}: schedule never crashed"
-        assert report["recovery_rate"] == 1.0, (
-            f"{backend}: lost profiles across restarts "
-            f"(rate {report['recovery_rate']:.2%})"
-        )
-        assert report["ranking_mismatches"] == 0, (
-            f"{backend}: {report['ranking_mismatches']} recovered rankings "
-            "diverged from the never-crashed reference"
-        )
-        assert report["identical_after_recovery"], backend
-    global _KILL_RESTART_REPORTS
-    _KILL_RESTART_REPORTS = reports
+    assert report["restarts"] >= 1, "schedule never crashed"
+    assert report["recovery_rate"] == 1.0, (
+        f"lost profiles across restarts (rate {report['recovery_rate']:.2%})"
+    )
+    assert report["ranking_mismatches"] == 0, (
+        f"{report['ranking_mismatches']} recovered rankings diverged from "
+        "the never-crashed reference"
+    )
+    assert report["identical_after_recovery"]
+    global _KILL_RESTART_REPORT
+    _KILL_RESTART_REPORT = report
 
 
-_KILL_RESTART_REPORTS: dict | None = None
+_KILL_RESTART_REPORT: dict | None = None
 
 
 def test_million_user_paging(benchmark, once, smoke):
@@ -145,7 +134,7 @@ def test_million_user_paging(benchmark, once, smoke):
     if not smoke:
         assert report["workload"]["num_users"] >= 1_000_000
         combined = {
-            "kill_restart": _KILL_RESTART_REPORTS,
+            "kill_restart": _KILL_RESTART_REPORT,
             "paging": report,
         }
         PERSISTENCE_REPORT_PATH.write_text(

@@ -301,7 +301,7 @@ class Program:
         """Base-method qualname -> qualnames of subclass overrides.
 
         Lets effect/contract propagation follow abstract-method dispatch
-        (``ProfileStore._append_records`` -> the jsonl/sqlite bodies).
+        (``ProfileStore._append_records`` -> the jsonl body).
         Subclass links are by base *name*, transitively, across modules.
         """
         if self._overrides is not None:
@@ -431,8 +431,8 @@ class Program:
     def _inherit_attrs(self) -> None:
         """Copy base-class attribute locks/types down to subclasses.
 
-        ``ProfileStore.__init__`` builds ``self._lock``; the jsonl and
-        sqlite subclasses acquire it. Without this pass their ``with
+        ``ProfileStore.__init__`` builds ``self._lock``; the jsonl
+        subclass acquires it. Without this pass its ``with
         self._lock:`` regions would be invisible to every checker.
         """
         changed = True

@@ -26,7 +26,7 @@ like :mod:`repro.analysis.lockorder` computes transitive acquires:
    provenance chain.
 3. **Dispatch**: resolved callees plus the lock checker's configured
    dynamic-dispatch edges, widened through subclass overrides so
-   ``ProfileStore._append_records`` carries the jsonl/sqlite fsync
+   ``ProfileStore._append_records`` carries the jsonl fsync
    effects to the abstract call site (where the store mutex shields
    them).
 

@@ -21,7 +21,6 @@ RULES: dict[str, str] = {
     "LAYER001": "Import from a higher or sideways layer",
     "LAYER002": "Module below the service layer imports repro.service",
     "HYG001": "Bare threading.Lock/RLock outside repro.concurrency",
-    "HYG002": "print() in library code",
     "HYG004": "Un-gated metric call inside the ranking hot path",
     "HYG005": "Broad exception handler outside sanctioned boundaries",
     "BLOCK001": "May-block call reachable while a ranked lock is held",

@@ -5,9 +5,6 @@
   runtime lock-order sanitizer and carry no hierarchy level; use
   :class:`repro.concurrency.Mutex` (or :class:`~repro.concurrency.RWLock`)
   instead.
-* ``HYG002`` - ``print`` in library code. The CLI surface
-  (``repro.cli``, ``repro.__main__``) is the only place stdout belongs;
-  everything else reports through return values or :mod:`repro.obs`.
 * ``HYG004`` - un-gated metrics work inside the ranking hot path.
   Inside ``search_cs``/``rank_rows``/``rank_cs_batch``, every
   ``.inc(...)``/``.observe(...)``/``.set_gauge(...)`` call must sit
@@ -22,6 +19,9 @@
   :data:`BROAD_EXCEPT_BOUNDARIES`. A broad catch that re-raises
   unconditionally (``raise`` as the handler's last statement) is exempt
   anywhere: it observes failures, it does not swallow them.
+
+``print`` outside the CLI surface is ruff's ``T20``, configured in
+``pyproject.toml``.
 """
 
 from __future__ import annotations
@@ -34,12 +34,8 @@ from repro.analysis.modules import SourceModule
 __all__ = [
     "BROAD_EXCEPT_BOUNDARIES",
     "HOT_FUNCTIONS",
-    "PRINT_ALLOWED_MODULES",
     "check_hygiene",
 ]
-
-#: Modules allowed to call ``print`` (the CLI surface).
-PRINT_ALLOWED_MODULES = {"repro.cli", "repro.__main__"}
 
 #: Module prefixes where broad ``except Exception`` is sanctioned:
 #: the resilience layer (containing arbitrary component failure is its
@@ -203,25 +199,6 @@ def check_hygiene(modules: list[SourceModule]) -> list[Finding]:
                                 "bare threading lock: use repro.concurrency."
                                 "Mutex/RWLock so the lock carries a hierarchy "
                                 "level and the sanitizer can see it"
-                            ),
-                        )
-                    )
-                elif (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id == "print"
-                    and module.name not in PRINT_ALLOWED_MODULES
-                ):
-                    findings.append(
-                        Finding(
-                            rule="HYG002",
-                            category="hygiene",
-                            module=module.name,
-                            path=str(module.path),
-                            line=node.lineno,
-                            message=(
-                                "print in library code: return strings or "
-                                "record via repro.obs; stdout belongs to the "
-                                "CLI surface only"
                             ),
                         )
                     )

@@ -215,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     persistence.add_argument("--edits-per-round", type=int, default=6)
     persistence.add_argument("--queries-per-round", type=int, default=24)
     persistence.add_argument("--hydrated-budget", type=int, default=4)
-    persistence.add_argument(
-        "--backend", choices=["jsonl", "sqlite"], default="jsonl"
-    )
     persistence.add_argument("--seed", type=int, default=29)
     persistence.add_argument(
         "--paging-users",
@@ -636,7 +633,6 @@ def _run_persistence(args: argparse.Namespace) -> str:
             edits_per_round=args.edits_per_round,
             queries_per_round=args.queries_per_round,
             hydrated_budget=args.hydrated_budget,
-            backend=args.backend,
             seed=args.seed,
         )
     }
@@ -645,7 +641,6 @@ def _run_persistence(args: argparse.Namespace) -> str:
             num_users=args.paging_users,
             hydrated_budget=args.hydrated_budget,
             num_queries=args.paging_queries,
-            backend=args.backend,
             seed=args.seed,
         )
     if (text := _json_report(args, report)) is not None:
@@ -685,8 +680,7 @@ def _run_persistence(args: argparse.Namespace) -> str:
         rows,
         title=(
             f"Persistence run - {workload['rounds']} rounds, "
-            f"{workload['backend']} backend, seed {workload['seed']}, "
-            f"{workload['num_users']} users"
+            f"seed {workload['seed']}, {workload['num_users']} users"
         ),
     )
 

@@ -98,6 +98,10 @@ from repro.workloads.users import Persona, default_profile
 
 __all__ = ["UserAccount", "PersonalizationService"]
 
+#: Stripes in the per-user lock table. More stripes = less false
+#: sharing between users under heavy concurrency.
+_LOCK_STRIPES = 64
+
 
 def _account_stats_lock() -> Mutex:
     """One account's stats/lazy-build lock (level 25, below registry)."""
@@ -144,9 +148,6 @@ class PersonalizationService:
         auto_index: Turn on on-demand attribute indexing for the
             relation, so every user's selections take the indexed path
             (the service is the multi-user hot path; default on).
-        lock_stripes: Stripe count of the per-user lock table (rounded
-            up to a power of two). More stripes = less false sharing
-            between users under heavy concurrency.
         resilience: Optional :class:`~repro.resilience.ResiliencePolicies`
             bundle. When given, :meth:`query` serves through the
             degradation ladder (retries, circuit breakers, graceful
@@ -190,7 +191,6 @@ class PersonalizationService:
         metric: str = "jaccard",
         cache_capacity: int | None = 128,
         auto_index: bool = True,
-        lock_stripes: int = 64,
         resilience: ResiliencePolicies | None = None,
         store: ProfileStore | None = None,
         hydrated_budget: int | None = None,
@@ -243,7 +243,7 @@ class PersonalizationService:
         # directory/override/account maps and population gauges. Lock
         # order: user lock before registry lock; never the reverse.
         self._user_locks = StripedLockTable(
-            lock_stripes, level=LEVEL_USER, name="service.user"
+            _LOCK_STRIPES, level=LEVEL_USER, name="service.user"
         )
         self._registry_lock = Mutex(level=LEVEL_REGISTRY, name="service.registry")
         #: Accounting of the recovery that seeded this service, if any.

@@ -53,8 +53,8 @@ requests are still undelivered after the last dispatch round gets one
 :meth:`kill_worker`: stop routing to the worker, flush the WAL, resync
 the survivors, then shut the process down cleanly.
 
-**Configuration.** Worker settings (dataset size and seed, metric,
-caches, I/O wait, threads, dedup capacity) are :class:`WorkerSpec`
+**Configuration.** Worker settings (dataset size and seed, cache,
+I/O wait, threads, dedup capacity) are :class:`WorkerSpec`
 fields, passed through the router's keyword arguments and validated
 when the router is built. The ring, breaker, spawn, hedge and probe
 tunings are the module constants below; only the retry and reconnect

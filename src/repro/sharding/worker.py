@@ -54,7 +54,7 @@ from repro.exceptions import (
 )
 from repro.io.serialize import preference_from_dict, profile_to_dict
 from repro.query.executor import QueryResult
-from repro.resilience import Deadline, ResiliencePolicies, deadline_scope
+from repro.resilience import Deadline, deadline_scope
 from repro.service.personalization import PersonalizationService
 from repro.sharding.protocol import FaultyConnection
 from repro.storage.jsonl import JsonlProfileStore
@@ -77,12 +77,8 @@ class WorkerSpec:
         num_rows: Size of the deterministic POI relation to generate.
         data_seed: Seed for the relation (identical in every worker
             and in the single-process twin, so rankings agree).
-        metric: Context-distance metric for the service.
         cache_capacity: Per-user result-cache capacity (``None``
             disables caching).
-        hydrated_budget: LRU bound on hydrated accounts (``None``
-            keeps every user hydrated).
-        resilience: Serve queries through the degradation ladder.
         io_wait_ms: Simulated per-query I/O wait (see module doc).
         worker_threads: Threads serving one ``query_batch`` inside the
             worker (the existing concurrency layer over this shard);
@@ -97,10 +93,7 @@ class WorkerSpec:
     name: str
     num_rows: int = 200
     data_seed: int = 7
-    metric: str = "jaccard"
     cache_capacity: int | None = 128
-    hydrated_budget: int | None = None
-    resilience: bool = False
     io_wait_ms: float = 0.0
     worker_threads: int = 2
     dedup_capacity: int = 4096
@@ -119,9 +112,9 @@ class WorkerSpec:
 def ranking_pairs(result: QueryResult) -> list[list[object]]:
     """A result's ranking as wire-ready ``[pid, score]`` pairs.
 
-    Scores are rounded to 12 decimals - the same fingerprint the
-    serving eval uses - so a pair list compares exactly against a
-    twin service's rankings after a JSON round-trip.
+    Scores are rounded to 12 decimals, so a pair list survives a JSON
+    round-trip and compares exactly against a reference service's
+    rankings passed through the same function.
     """
     return [
         [item.row.get("pid", -1), round(item.score, 12)]
@@ -153,10 +146,7 @@ def _build_service(spec: WorkerSpec) -> PersonalizationService:
     return PersonalizationService(
         environment,
         relation,
-        metric=spec.metric,
         cache_capacity=spec.cache_capacity,
-        hydrated_budget=spec.hydrated_budget,
-        resilience=ResiliencePolicies() if spec.resilience else None,
         recover_from=recovered,
     )
 

@@ -10,8 +10,9 @@ deployment can page millions of registered users in and out of RAM:
 * :mod:`repro.storage.store` - the abstract
   :class:`~repro.storage.store.ProfileStore` (append / replay /
   write_snapshot / compact_wal) with fault sites and metrics built in.
-* :mod:`repro.storage.jsonl` / :mod:`repro.storage.sqlite` - the two
-  backends (flat JSON-lines files; one SQLite database).
+* :mod:`repro.storage.jsonl` - the store itself
+  (:class:`~repro.storage.jsonl.JsonlProfileStore`: flat JSON-lines
+  WAL and snapshot files).
 * :mod:`repro.storage.recovery` - snapshot-plus-replay recovery into
   pure data (:class:`~repro.storage.recovery.RecoveredState`) and the
   inverse :func:`~repro.storage.recovery.snapshot_records` stream.
@@ -29,7 +30,6 @@ from repro.storage.records import (
     validate_record,
 )
 from repro.storage.recovery import RecoveredState, recover_state, snapshot_records
-from repro.storage.sqlite import SQLiteProfileStore
 from repro.storage.store import ProfileStore, WalReplay
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "JsonlProfileStore",
     "ProfileStore",
     "RecoveredState",
-    "SQLiteProfileStore",
     "WalReplay",
     "apply_record",
     "decode_envelope",

@@ -17,7 +17,7 @@ payload::
 
 :func:`encode_envelope`/:func:`decode_envelope` implement the wrapping;
 a record whose checksum does not match (a torn write, a flipped bit)
-raises :class:`~repro.exceptions.StorageError` so backends can stop a
+raises :class:`~repro.exceptions.StorageError` so the store can stop a
 replay at the first damaged record instead of rebuilding garbage.
 
 Replay is **idempotent** by construction: re-applying an ``add`` whose
@@ -95,7 +95,7 @@ def record_crc(data: Mapping) -> int:
 
 
 def encode_envelope(lsn: int, data: Mapping) -> str:
-    """One checksummed on-disk line/row for ``data`` at ``lsn``."""
+    """One checksummed on-disk line for ``data`` at ``lsn``."""
     return json.dumps(
         {"lsn": lsn, "crc": record_crc(data), "data": data},
         sort_keys=True,

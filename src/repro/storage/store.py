@@ -1,7 +1,6 @@
 """The ``ProfileStore`` interface: an append-only WAL plus snapshots.
 
-The persistence contract the service programs against (and MemOS-style
-deployments swap backends beneath):
+The persistence contract the service programs against:
 
 * **WAL** - :meth:`ProfileStore.append` durably logs one mutation
   record (see :mod:`repro.storage.records`) and returns its log
@@ -16,9 +15,8 @@ deployments swap backends beneath):
   WAL records *after* that LSN. :meth:`ProfileStore.compact_wal`
   optionally drops the covered prefix.
 
-Backends: :class:`~repro.storage.jsonl.JsonlProfileStore` (flat
-JSON-lines files) and :class:`~repro.storage.sqlite.SQLiteProfileStore`
-(single SQLite database). Both are safe for concurrent use from many
+The implementation is :class:`~repro.storage.jsonl.JsonlProfileStore`
+(flat JSON-lines files). It is safe for concurrent use from many
 threads: every operation runs under one internal mutex at lock level
 ``store`` (45) - below the service's user/registry locks that are held
 while appending, above only the metrics locks (see
@@ -80,10 +78,10 @@ class WalReplay:
 class ProfileStore(ABC):
     """Durable WAL + snapshot storage behind a small uniform surface.
 
-    Subclasses implement the raw primitives (``_append_lines``,
-    ``_replay_raw``, ...); the shared entry points here add the fault
-    sites, metrics and locking discipline so every backend behaves
-    identically under chaos testing.
+    Subclasses implement the raw primitives (``_append_records``,
+    ``_replay_records``, ...); the shared entry points here add the fault
+    sites, metrics and locking discipline, so chaos testing reaches
+    every store operation through one surface.
     """
 
     def __init__(self) -> None:
@@ -144,7 +142,7 @@ class ProfileStore(ABC):
         """Atomically replace the snapshot with ``records`` as of ``lsn``.
 
         The stream is consumed once; on any failure the previous
-        snapshot must remain intact (write-then-swap in both backends).
+        snapshot must remain intact (write-then-swap).
         """
         faults = get_fault_registry()
         if faults.enabled:

@@ -1,4 +1,4 @@
-"""Fixture: hot-path hygiene violations (HYG001, HYG002, HYG004, HYG005).
+"""Fixture: hot-path hygiene violations (HYG001, HYG004, HYG005).
 
 Fed to the analyzer under a pretend ``repro.*`` module name by
 ``tests/analysis/test_hygiene.py``; never imported by shipped code.
@@ -10,11 +10,6 @@ import threading
 def make_bare_lock() -> object:
     # HYG001: a raw threading lock is invisible to the sanitizer.
     return threading.Lock()
-
-
-def chatty(message: str) -> None:
-    # HYG002: print in library code.
-    print(message)
 
 
 def rank_rows(relation, contributions, registry) -> list:

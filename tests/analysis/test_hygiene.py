@@ -1,5 +1,5 @@
-"""The hygiene checker: bare locks, print, un-gated hot-path metrics
-and broad excepts."""
+"""The hygiene checker: bare locks, un-gated hot-path metrics and
+broad excepts."""
 
 from pathlib import Path
 
@@ -22,13 +22,6 @@ class TestHygieneRules:
         # The primitives themselves are built from threading locks.
         findings = _findings(name="repro.concurrency.fixture")
         assert not any(f.rule == "HYG001" for f in findings)
-
-    def test_print_is_flagged_outside_the_cli(self):
-        assert any(f.rule == "HYG002" for f in _findings())
-
-    def test_print_is_allowed_in_the_cli_surface(self):
-        findings = _findings(name="repro.cli")
-        assert not any(f.rule == "HYG002" for f in findings)
 
     def test_ungated_hot_path_metrics_are_flagged(self):
         flagged = [f for f in _findings() if f.rule == "HYG004"]

@@ -87,7 +87,6 @@ class TestReport:
             ("LOCK002", "upgrade"),
             ("LAYER002", "service"),
             ("HYG001", "threading"),
-            ("HYG002", "print"),
             ("HYG004", "metric"),
         ],
     )
@@ -210,7 +209,6 @@ class TestCli:
                             "LAYER001",
                             "LAYER002",
                             "HYG001",
-                            "HYG002",
                             "HYG004",
                             "HYG005",
                             "BLOCK001",

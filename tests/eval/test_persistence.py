@@ -1,7 +1,5 @@
 """Tests for the persistence experiment drivers (tiny scale)."""
 
-import pytest
-
 from repro.eval import kill_restart_schedule, run_kill_restart, run_paging_bench
 
 
@@ -22,8 +20,7 @@ class TestSchedule:
 
 
 class TestKillRestart:
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
-    def test_recovers_identically(self, backend, tmp_path):
+    def test_recovers_identically(self, tmp_path):
         report = run_kill_restart(
             num_users=3,
             num_rows=80,
@@ -31,7 +28,6 @@ class TestKillRestart:
             edits_per_round=3,
             queries_per_round=4,
             hydrated_budget=2,
-            backend=backend,
             seed=29,
             root=tmp_path,
         )
@@ -41,16 +37,8 @@ class TestKillRestart:
         assert report["ranking_checks"] > 0
         assert report["identical_after_recovery"]
         assert len(report["rounds"]) == 2
-        if backend == "jsonl":
-            # Every jsonl kill leaves a torn partial record behind.
-            assert report["torn_tails_repaired"] == report["restarts"]
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        from repro.exceptions import ReproError
-
-        with pytest.raises(ReproError, match="backend"):
-            run_kill_restart(num_users=2, num_rows=40, rounds=1,
-                             backend="parquet", root=tmp_path)
+        # Every kill leaves a torn partial record behind.
+        assert report["torn_tails_repaired"] == report["restarts"]
 
 
 class TestPagingBench:

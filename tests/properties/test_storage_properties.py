@@ -24,7 +24,6 @@ from repro.io import profile_from_dict, profile_to_dict
 from repro.preferences.repository import PreferenceRepository
 from repro.storage import (
     JsonlProfileStore,
-    SQLiteProfileStore,
     apply_record,
     recover_state,
     snapshot_records,
@@ -133,17 +132,12 @@ class TestWalRoundTrip:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(profiles(), st.sampled_from(["jsonl", "sqlite"]))
-    def test_wal_plus_snapshot_recover_any_repository(self, profile, backend):
+    @given(profiles())
+    def test_wal_plus_snapshot_recover_any_repository(self, profile):
         repository = PreferenceRepository(profile.environment, profile)
         payload = profile_to_dict(repository.profile)
         with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            store = (
-                JsonlProfileStore(root / "store")
-                if backend == "jsonl"
-                else SQLiteProfileStore(root / "store.db")
-            )
+            store = JsonlProfileStore(Path(tmp) / "store")
             try:
                 store.append(
                     {"op": "register", "user": "u1", "persona": dict(_PERSONA)}

@@ -8,15 +8,13 @@ from repro import ContextState, ContextualQuery, generate_poi_relation
 from repro.exceptions import ReproError
 from repro.faults import FaultSpec, InjectedFault, fault_plan
 from repro.service import PersonalizationService
-from repro.storage import JsonlProfileStore, SQLiteProfileStore
+from repro.storage import JsonlProfileStore
 from repro.workloads import Persona, study_environment
 
 
-@pytest.fixture(params=["jsonl", "sqlite"])
-def open_store(request, tmp_path):
-    if request.param == "jsonl":
-        return lambda: JsonlProfileStore(tmp_path / "store")
-    return lambda: SQLiteProfileStore(tmp_path / "store.db")
+@pytest.fixture(params=["jsonl"])
+def open_store(tmp_path):
+    return lambda: JsonlProfileStore(tmp_path / "store")
 
 
 @pytest.fixture

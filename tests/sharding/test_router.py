@@ -16,8 +16,9 @@ class TestLifecycle:
             ShardRouter(0)
 
     def test_unknown_worker_field_fails_before_spawning(self):
-        with pytest.raises(TypeError, match="bogus"):
-            ShardRouter(1, bogus=1)
+        for field in ("bogus", "resilience"):
+            with pytest.raises(TypeError, match=field):
+                ShardRouter(1, **{field: 1})
 
     def test_double_start_rejected(self, router):
         with pytest.raises(ShardError, match="already started"):

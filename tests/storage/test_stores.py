@@ -1,15 +1,13 @@
-"""Backend contract tests: both stores behave identically behind
-``ProfileStore`` (append/replay/snapshot/compaction, damage handling,
-fault sites, metrics)."""
-
-import sqlite3
+"""Store contract tests: ``JsonlProfileStore`` behind ``ProfileStore``
+(append/replay/snapshot/compaction, damage handling, fault sites,
+metrics)."""
 
 import pytest
 
 from repro.exceptions import StorageError
 from repro.faults import FaultSpec, InjectedFault, fault_plan
 from repro.obs import get_registry
-from repro.storage import JsonlProfileStore, SQLiteProfileStore
+from repro.storage import JsonlProfileStore
 
 PERSONA = {"age": "below30", "sex": "female", "taste": "offbeat"}
 
@@ -18,12 +16,10 @@ def register(user):
     return {"op": "register", "user": user, "persona": dict(PERSONA)}
 
 
-@pytest.fixture(params=["jsonl", "sqlite"])
-def opener(request, tmp_path):
+@pytest.fixture(params=["jsonl"])
+def opener(tmp_path):
     """A factory reopening the *same* store (crash/restart simulation)."""
-    if request.param == "jsonl":
-        return lambda: JsonlProfileStore(tmp_path / "store")
-    return lambda: SQLiteProfileStore(tmp_path / "store.db")
+    return lambda: JsonlProfileStore(tmp_path / "store")
 
 
 @pytest.fixture
@@ -172,24 +168,6 @@ class TestDamage:
             replay = reopened.replay()
             assert [lsn for lsn, _ in replay] == [1]
             assert not replay.torn_tail
-        finally:
-            reopened.close()
-
-    def test_sqlite_corrupt_row_stops_replay(self, tmp_path):
-        path = tmp_path / "store.db"
-        store = SQLiteProfileStore(path)
-        store.append(register("u1"))
-        store.append(register("u2"))
-        store.close()
-        conn = sqlite3.connect(path)
-        with conn:
-            conn.execute("UPDATE wal SET crc = crc + 1 WHERE lsn = 2")
-        conn.close()
-        reopened = SQLiteProfileStore(path)
-        try:
-            replay = reopened.replay()
-            assert [lsn for lsn, _ in replay] == [1]
-            assert replay.torn_tail
         finally:
             reopened.close()
 

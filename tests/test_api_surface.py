@@ -6,6 +6,8 @@ import pytest
 
 PACKAGES = [
     "repro",
+    "repro.analysis",
+    "repro.concurrency",
     "repro.context",
     "repro.db",
     "repro.dsl",
@@ -13,11 +15,14 @@ PACKAGES = [
     "repro.faults",
     "repro.hierarchy",
     "repro.io",
+    "repro.obs",
     "repro.preferences",
     "repro.query",
     "repro.resilience",
     "repro.resolution",
     "repro.service",
+    "repro.sharding",
+    "repro.storage",
     "repro.tree",
     "repro.workloads",
 ]

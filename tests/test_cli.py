@@ -49,14 +49,10 @@ class TestParser:
     def test_persistence_defaults(self):
         args = build_parser().parse_args(["persistence"])
         assert args.users == 8 and args.rows == 300 and args.rounds == 4
-        assert args.hydrated_budget == 4 and args.backend == "jsonl"
+        assert args.hydrated_budget == 4
         assert args.seed == 29
         assert args.paging_users == 0  # paging benchmark is opt-in
         assert not args.json and args.output is None
-
-    def test_persistence_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["persistence", "--backend", "parquet"])
 
     def test_shard_bench_defaults(self):
         args = build_parser().parse_args(["shard-bench"])
@@ -194,12 +190,11 @@ class TestCommands:
         target = tmp_path / "persistence.json"
         assert main(["persistence", "--users", "2", "--rows", "60",
                      "--rounds", "2", "--edits-per-round", "2",
-                     "--queries-per-round", "3", "--backend", "sqlite",
+                     "--queries-per-round", "3",
                      "--paging-users", "150", "--paging-queries", "20",
                      "--json", "--output", str(target)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kill_restart"]["recovery_rate"] == 1.0
-        assert payload["kill_restart"]["workload"]["backend"] == "sqlite"
         assert payload["paging"]["recovery"]["complete"]
         assert json.loads(target.read_text()) == payload
 
