@@ -39,13 +39,12 @@ __all__ = [
 
 #: Module prefixes where broad ``except Exception`` is sanctioned:
 #: the resilience layer (containing arbitrary component failure is its
-#: purpose), the concurrency executor and eval harnesses (reporting
-#: worker-thread failures across a thread boundary), and the CLI
-#: surface (turning any failure into an exit code).
+#: purpose), the concurrency executor (reporting worker-thread failures
+#: across a thread boundary), and the CLI surface (turning any failure
+#: into an exit code).
 BROAD_EXCEPT_BOUNDARIES = (
     "repro.resilience",
     "repro.concurrency.executor",
-    "repro.eval",
     "repro.cli",
     "repro.__main__",
 )

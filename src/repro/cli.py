@@ -94,77 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--cache-capacity", type=int, default=8)
     stats.add_argument("--seed", type=int, default=11)
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="concurrent serving workload: throughput scaling + churn check",
-    )
-    serve.add_argument("--users", type=int, default=8)
-    serve.add_argument("--rows", type=int, default=1500)
-    serve.add_argument("--queries", type=int, default=160)
-    serve.add_argument(
-        "--threads",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="worker counts to sweep (each replays the same request set)",
-    )
-    serve.add_argument(
-        "--io-wait-ms",
-        type=float,
-        default=6.0,
-        help="simulated per-request I/O wait; 0 shows the GIL-bound CPU curve",
-    )
-    serve.add_argument("--writers", type=int, default=4)
-    serve.add_argument("--edits-per-writer", type=int, default=10)
-    serve.add_argument("--cache-capacity", type=int, default=64)
-    serve.add_argument("--seed", type=int, default=17)
-    serve.add_argument(
-        "--json", action="store_true", help="emit the raw report as JSON"
-    )
-
-    shard = sub.add_parser(
-        "shard-bench",
-        help="multi-process sharded serving: QPS scaling + rebalance audit",
-    )
-    shard.add_argument("--users", type=int, default=8)
-    shard.add_argument("--rows", type=int, default=1500)
-    shard.add_argument("--queries", type=int, default=160)
-    shard.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="worker-process counts to sweep (same request set each)",
-    )
-    shard.add_argument(
-        "--io-wait-ms",
-        type=float,
-        default=15.0,
-        help="simulated per-request I/O wait (remote row-store fetch); "
-        "0 shows the single-core CPU-bound curve",
-    )
-    shard.add_argument(
-        "--worker-threads",
-        type=int,
-        default=2,
-        help="threads serving one batch inside each worker process",
-    )
-    shard.add_argument("--cache-capacity", type=int, default=64)
-    shard.add_argument("--seed", type=int, default=17)
-    shard.add_argument(
-        "--no-chaos",
-        action="store_true",
-        help="skip the worker-kill + rebalance round",
-    )
-    shard.add_argument(
-        "--json", action="store_true", help="emit the raw report as JSON"
-    )
-    shard.add_argument(
-        "--output", type=str, default=None,
-        help="also write the JSON report to this file "
-        "(BENCH_sharded.json style)",
-    )
-
     chaos = sub.add_parser(
         "chaos",
         help="fault-injection run: availability/latency under a seeded "
@@ -404,111 +333,12 @@ def _run_stats(args: argparse.Namespace) -> str:
 
 
 def _json_report(args: argparse.Namespace, report: dict) -> str | None:
-    """Write ``report`` to ``--output`` when the command has one and it
-    is set; return the JSON text under ``--json``, else ``None`` (the
-    caller renders its table)."""
+    """Write ``report`` to ``--output`` when it is set; return the JSON
+    text under ``--json``, else ``None`` (the caller renders its table)."""
     text = json.dumps(report, indent=2)
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text + "\n")
     return text if args.json else None
-
-
-def _run_serve_bench(args: argparse.Namespace) -> str:
-    from repro.eval.serving import run_serve_bench
-
-    report = run_serve_bench(
-        num_users=args.users,
-        num_rows=args.rows,
-        num_queries=args.queries,
-        thread_counts=tuple(args.threads),
-        io_wait_ms=args.io_wait_ms,
-        num_writers=args.writers,
-        edits_per_writer=args.edits_per_writer,
-        cache_capacity=args.cache_capacity,
-        seed=args.seed,
-    )
-    if (text := _json_report(args, report)) is not None:
-        return text
-    rows: list[list[object]] = [
-        [
-            f"{count} thread{'s' if int(count) != 1 else ''}",
-            f"{series['qps']:.0f} q/s",
-            f"{series['speedup']:.2f}x",
-        ]
-        for count, series in report["series"].items()
-    ]
-    churn = report["churn"]
-    rows.extend(
-        [
-            ["identical output", "yes" if report["identical_output"] else "NO"],
-            [
-                "churn phase",
-                f"{churn['queries']} queries vs {churn['num_writers']} writers",
-                f"{churn['failed_requests']} failed / {churn['lost_updates']} lost",
-            ],
-        ]
-    )
-    workload = report["workload"]
-    return format_table(
-        ["threads", "throughput", "speedup"],
-        rows,
-        title=(
-            f"Concurrent serving - {workload['num_users']} users, "
-            f"{workload['num_rows']} rows, {workload['num_queries']} queries, "
-            f"io_wait {workload['io_wait_ms']:.1f} ms"
-        ),
-    )
-
-
-def _run_shard_bench(args: argparse.Namespace) -> str:
-    from repro.eval.sharding import run_shard_bench
-
-    report = run_shard_bench(
-        num_users=args.users,
-        num_rows=args.rows,
-        num_queries=args.queries,
-        worker_counts=tuple(args.workers),
-        io_wait_ms=args.io_wait_ms,
-        worker_threads=args.worker_threads,
-        cache_capacity=args.cache_capacity,
-        seed=args.seed,
-        chaos=not args.no_chaos,
-    )
-    if (text := _json_report(args, report)) is not None:
-        return text
-    rows: list[list[object]] = [
-        [
-            f"{count} worker{'s' if int(count) != 1 else ''}",
-            f"{series['qps']:.0f} q/s",
-            f"{series['speedup']:.2f}x",
-        ]
-        for count, series in report["series"].items()
-    ]
-    rows.append(
-        ["identical output", "yes" if report["identical_output"] else "NO", ""]
-    )
-    chaos = report["chaos"]
-    if chaos.get("enabled"):
-        rows.append(
-            [
-                "chaos round",
-                f"{chaos['worker_deaths']} killed / "
-                f"{chaos['rebalances']} rebalances",
-                "identical"
-                if chaos["identical_after_rebalance"]
-                else "DIVERGED",
-            ]
-        )
-    workload = report["workload"]
-    return format_table(
-        ["workers", "throughput", "speedup"],
-        rows,
-        title=(
-            f"Sharded serving - {workload['num_users']} users, "
-            f"{workload['num_rows']} rows, {workload['num_queries']} queries, "
-            f"io_wait {workload['io_wait_ms']:.1f} ms"
-        ),
-    )
 
 
 def _run_chaos(args: argparse.Namespace) -> str:
@@ -692,8 +522,6 @@ _RUNNERS = {
     "fig7": _run_fig7,
     "report": _run_report,
     "stats": _run_stats,
-    "serve-bench": _run_serve_bench,
-    "shard-bench": _run_shard_bench,
     "chaos": _run_chaos,
     "persistence": _run_persistence,
 }

@@ -25,8 +25,6 @@ from repro.eval.rank_costs import (
     run_rank_hotpath,
 )
 from repro.eval.reporting import format_series, format_table
-from repro.eval.serving import run_serve_bench
-from repro.eval.sharding import run_shard_bench
 from repro.eval.sizes import (
     OrderingSize,
     SizeExperiment,
@@ -72,8 +70,6 @@ __all__ = [
     "run_paging_bench",
     "run_rank_hotpath",
     "run_scripted_workload",
-    "run_serve_bench",
-    "run_shard_bench",
     "run_usability_study",
     "summarize_snapshot",
 ]

@@ -13,9 +13,7 @@ worker *processes*:
 * :mod:`repro.sharding.router` - the front-end: spawning, routing,
   health checks, chaos kills and WAL-backed rebalancing.
 
-See ``docs/sharding.md`` for the design and
-``python -m repro shard-bench`` for the scaling measurement
-(``BENCH_sharded.json``).
+See ``docs/sharding.md`` for the design.
 """
 
 from repro.sharding.hashring import ConsistentHashRing

@@ -25,12 +25,12 @@ repeat with the cached reply, flagged ``duplicate``. Retries after a
 worker death re-send the same rid, so at-least-once delivery from the
 router becomes at-most-once application here.
 
-**Serving-shaped work.** Each query performs a short GIL-releasing
-sleep (``io_wait_ms``, the simulated row-store fetch / client
-round-trip, exactly as in :mod:`repro.eval.serving`) before the
-CPU-bound contextual query. The sleep is what multi-process sharding
-can overlap even on one core; the knob is recorded in the bench report
-and ``0`` shows the pure-CPU curve.
+**Simulated I/O wait.** A spec with ``io_wait_ms`` above zero makes
+each query sleep that long (releasing the GIL, like a remote row-store
+fetch) before the CPU-bound contextual query. It is a
+:class:`~repro.sharding.router.ShardRouter` keyword and defaults to
+``0``: the ``sharded_wire`` benchmark workload keeps it there, and the
+deadline tests raise it to make a worker slower than a request budget.
 """
 
 from __future__ import annotations

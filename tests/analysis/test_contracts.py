@@ -75,7 +75,7 @@ class TestFaultSiteDrift:
 class TestExceptionContracts:
     def test_swallowing_broad_handler_is_exc001(self):
         findings = check_exception_contracts(
-            _program("bad_exceptions.py", "repro.eval.fixture")
+            _program("bad_exceptions.py", "repro.resilience.fixture")
         )
         flagged = [f for f in findings if f.function == "swallowing_boundary"]
         assert flagged, "swallowed ServiceUnavailable missed"
@@ -85,18 +85,20 @@ class TestExceptionContracts:
 
     def test_typed_handler_before_broad_is_clean(self):
         findings = check_exception_contracts(
-            _program("bad_exceptions.py", "repro.eval.fixture")
+            _program("bad_exceptions.py", "repro.resilience.fixture")
         )
         assert not any(f.function == "honoured_boundary" for f in findings)
 
     def test_reraising_broad_handler_is_clean(self):
         findings = check_exception_contracts(
-            _program("bad_exceptions.py", "repro.eval.fixture")
+            _program("bad_exceptions.py", "repro.resilience.fixture")
         )
         assert not any(f.function == "reraising_boundary" for f in findings)
 
     def test_the_fixture_triggers_exactly_exc001(self):
-        module = load_module("repro.eval.fixture", FIXTURES / "bad_exceptions.py")
+        module = load_module(
+            "repro.resilience.fixture", FIXTURES / "bad_exceptions.py"
+        )
         report = analyze_modules([module])
         assert {f.rule for f in report.findings} == {"EXC001"}
 

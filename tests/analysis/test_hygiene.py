@@ -3,6 +3,8 @@ broad excepts."""
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import load_module
 from repro.analysis.hygiene import check_hygiene
 
@@ -46,8 +48,9 @@ class TestHygieneRules:
         module = load_module("repro.eval.cold", path)
         assert check_hygiene([module]) == []
 
-    def test_swallowing_broad_except_is_flagged(self):
-        flagged = [f for f in _findings() if f.rule == "HYG005"]
+    @pytest.mark.parametrize("name", ["repro.query.fixture", "repro.eval.fixture"])
+    def test_swallowing_broad_except_is_flagged(self, name):
+        flagged = [f for f in _findings(name=name) if f.rule == "HYG005"]
         assert len(flagged) == 1
         assert "sanctioned failure boundary" in flagged[0].message
 

@@ -73,7 +73,9 @@ class TestWorkerDeath:
         ):
             replies = router.query_many(requests)
         assert router.worker_deaths == 1
+        assert len(router.workers) == 1
         assert all(reply["ok"] for reply in replies)
+        assert not any(reply.get("duplicate") for reply in replies)
         assert [reply["ranking"] for reply in replies] == expected
 
     def test_all_workers_dead_is_an_error(self, router, states):

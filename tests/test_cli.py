@@ -10,9 +10,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_unknown_command_rejected(self):
+    @pytest.mark.parametrize("command", ["fig9", "serve-bench", "shard-bench"])
+    def test_unknown_command_rejected(self, command):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig9"])
+            build_parser().parse_args([command])
 
     def test_fig6_requires_panel(self):
         with pytest.raises(SystemExit):
@@ -53,20 +54,6 @@ class TestParser:
         assert args.seed == 29
         assert args.paging_users == 0  # paging benchmark is opt-in
         assert not args.json and args.output is None
-
-    def test_shard_bench_defaults(self):
-        args = build_parser().parse_args(["shard-bench"])
-        assert args.users == 8 and args.rows == 1500 and args.queries == 160
-        assert args.workers == [1, 2, 4]
-        assert args.io_wait_ms == 15.0 and args.worker_threads == 2
-        assert args.cache_capacity == 64 and args.seed == 17
-        assert not args.no_chaos and not args.json
-
-    def test_shard_bench_custom_workers(self):
-        args = build_parser().parse_args(
-            ["shard-bench", "--workers", "1", "2", "--no-chaos"]
-        )
-        assert args.workers == [1, 2] and args.no_chaos
 
 
 class TestCommands:

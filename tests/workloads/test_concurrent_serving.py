@@ -12,9 +12,9 @@ import pytest
 
 from repro import ContextState, ContextualQuery, generate_poi_relation
 from repro.concurrency import ConcurrentQueryExecutor
-from repro.eval.oracle import ranking
+from repro.eval.oracle import mismatches, population, ranking, reference_service
 from repro.service import PersonalizationService
-from repro.workloads import all_personas, study_environment
+from repro.workloads import study_environment
 from repro.workloads.streams import query_stream
 
 NUM_USERS = 4
@@ -24,12 +24,12 @@ SEED = 23
 
 @pytest.fixture(scope="module")
 def service():
+    """A cached, indexed twin of ``reference_service(NUM_USERS, 200, SEED)``."""
     environment = study_environment()
     relation = generate_poi_relation(200, seed=SEED)
     service = PersonalizationService(environment, relation, cache_capacity=16)
-    personas = all_personas()
-    for index in range(NUM_USERS):
-        service.register(f"user{index}", personas[index % len(personas)])
+    for user_id, persona in population(NUM_USERS):
+        service.register(user_id, persona)
     return service
 
 
@@ -67,16 +67,20 @@ class TestConcurrentEqualsSequential:
         concurrent = [ranking(outcome.result.results) for outcome in outcomes]
         assert concurrent == sequential
 
-    def test_repeat_runs_identical_across_widths(self, service, requests):
-        baseline = None
+    def test_every_width_matches_the_reference(self, service, requests):
+        reference = reference_service(NUM_USERS, 200, SEED)
+        expected = [
+            ranking(reference.query(user_id, query).results)
+            for user_id, query in requests
+        ]
+        reference.close()
         for workers in (1, 2, 4):
             outcomes = service.query_many(requests, max_workers=workers)
-            assert all(outcome.ok for outcome in outcomes)
-            rankings = [ranking(outcome.result.results) for outcome in outcomes]
-            if baseline is None:
-                baseline = rankings
-            else:
-                assert rankings == baseline
+            answers = [
+                ranking(outcome.result.results) if outcome.ok else None
+                for outcome in outcomes
+            ]
+            assert mismatches(expected, answers) == 0, workers
 
     def test_shared_executor_reused_across_batches(self, service, requests):
         sequential = [
