@@ -1,10 +1,12 @@
 """Benchmark configuration.
 
-Each benchmark reproduces one table or figure of the paper and prints
-the corresponding rows/series (run with ``-s`` to see them). The
-timed quantity is the full experiment driver; the paper's own metrics
-(cells, bytes, cell accesses, agreement percentages) are printed, since
-those - not wall-clock time - are what the figures report.
+Each script runs one extension experiment (ranking hot path,
+observability overhead, chaos, distributed chaos, persistence) once
+under the benchmark timer, prints its report (run with ``-s`` to see
+it) and, on full runs, writes it to a ``BENCH_*.json`` file at the
+repository root.
+The paper's own numbers (Table 1, Figs. 5-7) are not here: they are
+pinned exactly in ``tests/eval/paper_numbers.json``.
 
 ``--smoke`` shrinks every workload to CI scale: benchmarks still run
 end to end (so the code paths stay covered on every push) but skip the

@@ -9,13 +9,16 @@ Usage::
     python -m repro fig6 right          # Fig. 6 right (skew crossover)
     python -m repro fig7 real           # Fig. 7 left (real profile accesses)
     python -m repro fig7 synthetic      # Fig. 7 center+right (synthetic)
+    python -m repro report              # every number above, as JSON
     python -m repro chaos               # availability under injected faults
     python -m repro chaos --sharded     # distributed chaos vs the shard router
     python -m repro persistence         # kill/restart recovery + paging
     python -m repro analyze             # project-native static checks
 
-Every command accepts ``--seed`` and, where meaningful, ``--sizes`` to
-re-run the sweep at other scales than the paper's.
+The figure commands accept ``--seed`` and, where meaningful,
+``--sizes`` to re-run the sweep at other scales than the paper's;
+``report`` always runs the committed defaults, so its output can be
+compared byte for byte with ``tests/eval/paper_numbers.json``.
 """
 
 from __future__ import annotations
@@ -70,11 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     fig7.add_argument("--queries", type=int, default=50)
 
     report = sub.add_parser(
-        "report", help="run every experiment, emit a Markdown report"
+        "report",
+        help="run every experiment at its committed defaults, emit the "
+        "paper's numbers as JSON (the golden tests/eval/paper_numbers.json)",
     )
-    report.add_argument("--quick", action="store_true",
-                        help="smaller sweeps for a fast smoke run")
-    report.add_argument("--seed", type=int, default=17)
     report.add_argument("--output", type=str, default=None,
                         help="write to a file instead of stdout")
 
@@ -276,11 +278,11 @@ def _run_fig7(args: argparse.Namespace) -> str:
 
 
 def _run_report(args: argparse.Namespace) -> str:
-    from repro.eval.report import generate_report
+    from repro.eval.report import paper_numbers
 
-    text = generate_report(quick=args.quick, seed=args.seed)
+    text = json.dumps(paper_numbers(), indent=2, sort_keys=True)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        Path(args.output).write_text(text + "\n", encoding="utf-8")
         return f"report written to {args.output}"
     return text
 

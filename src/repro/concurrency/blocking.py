@@ -29,9 +29,9 @@ under whatever locks the instrumented call site holds - that is the
 point of the fault) wrap themselves in :func:`allow_blocking`.
 
 Like the lock sanitizer, this is opt-in and test-scoped: enable it
-with :func:`blocking_sanitizer` (which also enables the lock sanitizer
-so the held stack is maintained) or the ``REPRO_BLOCKING_SANITIZER``
-environment variable. The patch is process-wide while active and
+with :func:`blocking_sanitizer` or the ``REPRO_BLOCKING_SANITIZER``
+environment variable; both also enable the lock sanitizer, so the held
+stack is maintained. The patch is process-wide while active and
 restores the original entry points on exit.
 """
 
@@ -224,4 +224,7 @@ def allow_blocking() -> Iterator[None]:
 
 
 if _ENABLED:  # pragma: no cover - env-var activation path
+    # As in blocking_sanitizer(): only the lock sanitizer keeps the
+    # held-lock stack that _check reads.
+    _locks.enable_lock_sanitizer()
     _install()

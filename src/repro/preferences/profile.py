@@ -107,6 +107,11 @@ class Profile:
             self.add(old)
             raise
 
+    def score(self, state: ContextState, clause: AttributeClause) -> float | None:
+        """The score a stored preference gives ``clause`` at ``state``,
+        or ``None`` if no stored preference produces that pair."""
+        return self._scores.get((state, clause))
+
     def would_conflict(self, preference: ContextualPreference) -> bool:
         """True iff adding ``preference`` would raise a conflict."""
         for state in preference.descriptor.states(self._environment):

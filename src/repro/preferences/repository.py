@@ -117,6 +117,13 @@ class PreferenceRepository:
             raise PreferenceError(f"preference not in repository: {preference!r}")
         self._profile.remove(preference)
         self._tree.remove(preference)
+        # The tree keeps one payload per (state, clause), so the removal
+        # also dropped those an overlapping preference still produces.
+        clause = preference.clause
+        for state in preference.descriptor.states(self._environment):
+            score = self._profile.score(state, clause)
+            if score is not None:
+                self._tree.insert_payload(state, clause, score)
 
     def update_score(
         self, preference: ContextualPreference, new_score: float

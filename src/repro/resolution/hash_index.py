@@ -6,7 +6,7 @@ exact-match resolution becomes a single probe, and covering resolution
 probes every *generalisation* of the query state (the product of the
 per-parameter ancestor chains - e.g. 2x3x4 = 24 probes for the running
 example). This module implements that index so the trade-off can be
-measured (see ``benchmarks/bench_ablations.py``):
+measured (see ``tests/eval/test_ablations.py``):
 
 * exact match: hash O(1) beats the tree's root-to-leaf scan;
 * covering: the hash probes ``prod(chain lengths)`` states regardless of

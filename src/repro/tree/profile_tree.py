@@ -146,6 +146,14 @@ class ProfileTree:
         if inserted_new_payload:
             self._num_preferences += 1
 
+    def insert_payload(
+        self, state: ContextState, clause: AttributeClause, score: float
+    ) -> None:
+        """Insert one ``(state, clause, score)`` payload, rejecting a
+        conflict (Def. 6); a no-op if it is already stored."""
+        self._check_conflict(state, clause, score)
+        self._insert_state(state, clause, score)
+
     def _check_conflict(
         self, state: ContextState, clause: AttributeClause, score: float
     ) -> None:
@@ -187,11 +195,12 @@ class ProfileTree:
     def remove(self, preference: ContextualPreference) -> bool:
         """Remove a preference's payloads, pruning now-empty paths.
 
-        Returns True if anything was removed. A payload is only removed
-        when both the clause *and* the score match, so two non-identical
-        preferences sharing a clause cannot delete each other. Mirrors
-        :meth:`Profile.remove` for keeping tree and profile in sync
-        during profile editing.
+        Returns True if anything was removed. A payload is removed when
+        its clause and score match, even if another stored preference
+        with an overlapping descriptor still produces it: the tree keeps
+        one payload per (state, clause) and does not know which
+        preferences produced it. :meth:`PreferenceRepository.remove`
+        puts such payloads back from the profile.
         """
         removed_any = False
         for state in preference.descriptor.states(self._environment):

@@ -8,7 +8,10 @@ lock held, stay quiet at the sanctioned boundaries, honour
 
 import os
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +130,35 @@ class TestScoping:
         lock = Mutex(level=LEVEL_CACHE, name="test.cache")
         with lock:
             time.sleep(0)  # no patch installed: must not raise
+
+
+class TestEnvironmentVariable:
+    def test_variable_alone_raises_under_a_ranked_lock(self):
+        repo_root = Path(__file__).resolve().parents[2]
+        env = {
+            name: value
+            for name, value in os.environ.items()
+            if name != "REPRO_LOCK_SANITIZER"
+        }
+        env["PYTHONPATH"] = str(repo_root / "src")
+        env["REPRO_BLOCKING_SANITIZER"] = "1"
+        code = (
+            "import time\n"
+            "from repro.concurrency import BlockingUnderLock, Mutex\n"
+            "from repro.concurrency.locks import LEVEL_USER\n"
+            "with Mutex(level=LEVEL_USER, name='test.user'):\n"
+            "    try:\n"
+            "        time.sleep(0)\n"
+            "    except BlockingUnderLock:\n"
+            "        raise SystemExit(0)\n"
+            "raise SystemExit('time.sleep under user(10) did not raise')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=repo_root,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr

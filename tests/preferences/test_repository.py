@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro import AttributeClause, ConflictError, ContextDescriptor, ContextualPreference
+from repro import (
+    AttributeClause,
+    ConflictError,
+    ContextDescriptor,
+    ContextualPreference,
+    ProfileTree,
+)
 from repro.exceptions import PreferenceError
 from repro.preferences.repository import PreferenceRepository
 from tests.conftest import state
@@ -44,6 +50,17 @@ class TestEdits:
         assert len(repo) == 0
         assert repo.tree.num_states == 0
         assert_consistent(repo)
+
+    def test_remove_keeps_payloads_an_overlapping_preference_produces(self, env):
+        plaka = make({"location": "Plaka"}, "cafeteria", 0.8)
+        both = make({"location": ["Plaka", "Kifisia"]}, "cafeteria", 0.8)
+        repo = PreferenceRepository(env, [plaka, both])
+        repo.remove(plaka)
+        rebuilt = ProfileTree.from_profile(repo.profile, repo.ordering)
+        assert set(repo.tree.items()) == set(rebuilt.items())
+        assert repo.tree.exact_lookup(state(env, location="Plaka")) == {
+            AttributeClause("type", "cafeteria"): 0.8
+        }
 
     def test_remove_missing_raises(self, env):
         repo = PreferenceRepository(env)

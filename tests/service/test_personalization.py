@@ -11,6 +11,7 @@ from repro import (
     ContextualQuery,
     generate_poi_relation,
 )
+from repro.eval.oracle import ranking
 from repro.exceptions import QueryError, ReproError
 from repro.service import PersonalizationService
 from repro.workloads import Persona, study_environment
@@ -98,6 +99,33 @@ class TestProfileEditing:
         with pytest.raises(ConflictError):
             service.add_preference("alice", preference(0.1))
         assert alice.modifications == 1  # the failed edit does not count
+
+    def test_delete_keeps_what_an_overlapping_preference_produces(self):
+        def brewery(location):
+            return ContextualPreference(
+                ContextDescriptor.from_mapping({"location": location}),
+                AttributeClause("type", "brewery"),
+                0.97,
+            )
+
+        environment = study_environment()
+        relation = generate_poi_relation(300, seed=3)
+        persona = Persona("below30", "female", "offbeat")
+        plaka = brewery("Plaka")
+        service = PersonalizationService(environment, relation)
+        service.register("alice", persona)
+        service.add_preference("alice", plaka)
+        service.add_preference("alice", brewery(["Plaka", "Kifisia"]))
+        service.delete_preference("alice", plaka)
+        twin = PersonalizationService(environment, relation)
+        twin.register("alice", persona)
+        twin.import_profile("alice", service.export_profile("alice"))
+
+        at_plaka = ContextState.from_mapping(environment, {"location": "Plaka"})
+        served = service.query_at("alice", at_plaka, top_k=10).results
+        imported = twin.query_at("alice", at_plaka, top_k=10).results
+        assert ranking(served) == ranking(imported)
+        assert served[0].score == 0.97
 
     def test_edit_invalidates_covered_cache_entries(self, service, alice):
         env = service.environment
